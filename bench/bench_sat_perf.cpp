@@ -1,25 +1,21 @@
 // Oracle-guided attack-engine throughput: the perf trajectory of the
-// cone-pruned incremental DIP encoder, the simulation-guided warm-up, and
-// the solver portfolio against the seed's naive re-encoding loop.
+// cone-pruned incremental DIP encoder and the simulation-guided warm-up
+// against the seed's naive re-encoding loop.
 //
-// Four modes run the *same* attack (same locked circuit, same oracle):
+// Three modes run the *same* attack (same locked circuit, same oracle):
 //  * naive      — legacy engine: two full symbolic copies re-encoded per
-//                 DIP (the PR 3 baseline, cone_pruning=false);
+//                 DIP (cone_pruning=false);
 //  * pruned     — cone-pruned constant-folded DIP encoding, no warm-up;
-//  * pruned_sim — cone pruning plus the word-parallel simulation warm-up;
-//  * portfolio  — pruned_sim with a 3-member solver portfolio racing the
-//                 UNSAT proofs on the runtime ThreadPool.
+//  * pruned_sim — cone pruning plus the word-parallel simulation warm-up.
 //
 // Every mode must recover a functionally correct key: each recovered key
 // is applied to the attacker's view and the resulting chip is driven with
 // one shared random word batch; the folded response checksums must be
-// identical across modes and equal to the reference chip's. On top of the
-// checksum, pruned_sim and portfolio must report identical iterations,
-// queries, and key (the engine's determinism contract). JSON goes to
-// BENCH_sat_perf.json (override with --out) so CI can archive the
-// trajectory; the in-binary gate requires pruned_sim to beat naive by
-// --min-speedup (default 5x, the acceptance bar, on the full-size default
-// benchmark; 2x on the seconds-scale --smoke configuration).
+// identical across modes and equal to the reference chip's. JSON goes to
+// BENCH_sat_perf.json (override with --out); the in-binary gate requires
+// pruned_sim to beat naive by --min-speedup (default 5x, the acceptance
+// bar, on the full-size default benchmark; 2x on the seconds-scale
+// --smoke configuration).
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -30,8 +26,6 @@
 #include "attack/sat_attack.hpp"
 #include "core/hybrid.hpp"
 #include "core/selection.hpp"
-#include "runtime/parallel.hpp"
-#include "runtime/thread_pool.hpp"
 #include "synth/generator.hpp"
 #include "tech/tech_library.hpp"
 #include "util/args.hpp"
@@ -84,8 +78,6 @@ int main(int argc, char** argv) {
   args.add_option("--time-limit", "per-mode wall-clock cap in seconds", "300");
   args.add_option("--min-speedup",
                   "gate: pruned_sim vs naive (default 5; 2 with --smoke)");
-  args.add_option("--jobs", "threads for the portfolio mode (0 = hardware)",
-                  "0");
   args.add_option("--out", "output JSON path", "BENCH_sat_perf.json");
   args.add_flag("--smoke", "seconds-scale CI configuration");
   try {
@@ -140,10 +132,6 @@ int main(int argc, char** argv) {
   const std::size_t checksum_words = 16;
   const std::uint64_t reference = functional_checksum(chip, checksum_words);
 
-  const unsigned jobs = static_cast<unsigned>(args.get_int("--jobs"));
-  ThreadPool pool(jobs);
-  ThreadPoolParallelFor par(pool);
-
   std::vector<ModeResult> modes;
   const auto run_mode = [&](const std::string& name,
                             const SatAttackOptions& opt) {
@@ -183,11 +171,6 @@ int main(int argc, char** argv) {
   SatAttackOptions pruned_sim = base;
   run_mode("pruned_sim", pruned_sim);
 
-  SatAttackOptions portfolio = pruned_sim;
-  portfolio.portfolio = 3;
-  portfolio.parallel = &par;
-  run_mode("portfolio", portfolio);
-
   for (const ModeResult& m : modes) {
     if (!m.attack.success()) {
       std::fprintf(stderr, "bench_sat_perf: mode %s failed to recover a key\n",
@@ -204,28 +187,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Determinism contract: the portfolio must not change the attack's
-  // observable trajectory, only its wall-clock.
-  const SatAttackResult& solo = modes[2].attack;
-  const SatAttackResult& team = modes[3].attack;
-  if (solo.iterations != team.iterations ||
-      solo.queries != team.queries || solo.key != team.key) {
-    std::fprintf(stderr,
-                 "bench_sat_perf: portfolio changed the result "
-                 "(%d/%d DIPs, %llu/%llu queries) — determinism broken\n",
-                 solo.iterations, team.iterations,
-                 static_cast<unsigned long long>(solo.queries),
-                 static_cast<unsigned long long>(team.queries));
-    return 1;
-  }
-
   const double naive_s = modes[0].attack.elapsed_s;
   std::string json = "{\n";
   json += "  \"benchmark\": \"" + profile->name + "\",\n";
   json += "  \"algorithm\": \"" + alg_name + "\",\n";
   json += "  \"luts\": " + std::to_string(n_luts) + ",\n";
   json += "  \"key_bits\": " + std::to_string(n_key_bits) + ",\n";
-  json += "  \"threads\": " + std::to_string(pool.size()) + ",\n";
   json += "  \"checksum\": \"" + std::to_string(reference) + "\",\n";
   json += "  \"modes\": [\n";
   for (std::size_t i = 0; i < modes.size(); ++i) {

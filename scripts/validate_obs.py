@@ -14,7 +14,10 @@ shape.
 
 Also validates a bench JSON document against its schema: ``--bench netlist``
 checks the shape bench_netlist_perf writes (counts, matching structural
-checksums, and the per-path/per-phase timing rows).
+checksums, and the per-path/per-phase timing rows); ``--bench sat`` checks
+the shape bench_sat_perf writes (exactly the naive, pruned and pruned_sim
+modes, integer counts, positive seconds, and speedups consistent with the
+seconds).
 
 Usage:
   scripts/validate_obs.py --trace trace.json [--require-cats job,flow-stage,...]
@@ -22,6 +25,7 @@ Usage:
   scripts/validate_obs.py --campaign campaign.json \\
       [--require-defenses xor,latch] [--require-attacks sat,none]
   scripts/validate_obs.py --bench netlist --bench-json BENCH_netlist_perf.json
+  scripts/validate_obs.py --bench sat --bench-json BENCH_sat_perf.json
 
 Exits non-zero with a diagnostic on the first violation. Stdlib only.
 """
@@ -323,16 +327,74 @@ def validate_netlist_bench(path):
           f" {doc['load_lint_speedup']}x load+lint speedup")
 
 
+SAT_BENCH_KEYS = {"benchmark", "algorithm", "luts", "key_bits", "checksum",
+                  "modes"}
+SAT_BENCH_MODES = ("naive", "pruned", "pruned_sim")
+SAT_MODE_COUNTS = ("iterations", "queries", "conflicts", "decisions",
+                   "propagations", "learned", "peak_clauses", "cnf_initial",
+                   "cnf_dip", "key_rows_folded")
+SAT_MODE_KEYS = {"name", "seconds", "cnf_per_iter", "speedup_vs_naive",
+                 *SAT_MODE_COUNTS}
+
+
+def is_count(v):
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def validate_sat_bench(path):
+    doc = load_json(path)
+    if not isinstance(doc, dict):
+        fail(f"{path}: top-level value must be an object")
+    missing = SAT_BENCH_KEYS - doc.keys()
+    if missing:
+        fail(f"{path}: missing keys {sorted(missing)}")
+    for key in ("luts", "key_bits"):
+        if not is_count(doc[key]):
+            fail(f"{path}: field {key}={doc[key]!r} must be a non-negative"
+                 " integer")
+    if not isinstance(doc["modes"], list):
+        fail(f"{path}: 'modes' must be a list")
+    names = [m.get("name") if isinstance(m, dict) else None
+             for m in doc["modes"]]
+    if sorted(names, key=str) != sorted(SAT_BENCH_MODES):
+        fail(f"{path}: modes {names!r} must be exactly"
+             f" {list(SAT_BENCH_MODES)}")
+    modes = {m["name"]: m for m in doc["modes"]}
+    for name, m in modes.items():
+        missing = SAT_MODE_KEYS - m.keys()
+        if missing:
+            fail(f"{path}: mode {name} missing keys {sorted(missing)}")
+        for key in SAT_MODE_COUNTS:
+            if not is_count(m[key]):
+                fail(f"{path}: mode {name} field {key}={m[key]!r} must be a"
+                     " non-negative integer")
+        if not isinstance(m["seconds"], (int, float)) or m["seconds"] <= 0:
+            fail(f"{path}: mode {name} seconds={m['seconds']!r} must be > 0")
+    # speedup_vs_naive is printed with two decimals from the unrounded
+    # seconds, so allow that rounding (plus the seconds' own 1e-6 grain).
+    naive_s = modes["naive"]["seconds"]
+    for name, m in modes.items():
+        want = naive_s / m["seconds"]
+        got = m["speedup_vs_naive"]
+        if not isinstance(got, (int, float)) \
+                or abs(got - want) > 0.005 + 1e-3 * want:
+            fail(f"{path}: mode {name} speedup_vs_naive={got!r} but"
+                 f" naive/seconds = {want:.4f}")
+    print(f"validate_obs: OK: {path}: {doc['benchmark']}/{doc['algorithm']},"
+          f" pruned_sim {modes['pruned_sim']['iterations']} DIPs at"
+          f" {modes['pruned_sim']['speedup_vs_naive']}x vs naive")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trace", help="Chrome trace JSON to validate")
     ap.add_argument("--metrics", help="metrics JSON to validate")
     ap.add_argument("--campaign", help="campaign --out-json document to"
                     " validate (defense axis columns)")
-    ap.add_argument("--bench", choices=["netlist"],
+    ap.add_argument("--bench", choices=["netlist", "sat"],
                     help="bench JSON schema to validate (--bench-json)")
-    ap.add_argument("--bench-json", default="BENCH_netlist_perf.json",
-                    help="bench JSON path (default BENCH_netlist_perf.json)")
+    ap.add_argument("--bench-json",
+                    help="bench JSON path (default BENCH_<bench>_perf.json)")
     ap.add_argument("--require-cats", default="",
                     help="comma-separated span categories that must appear")
     ap.add_argument("--require-counters", default="",
@@ -356,8 +418,12 @@ def main():
     if args.campaign:
         validate_campaign(args.campaign, split(args.require_defenses),
                           split(args.require_attacks))
-    if args.bench == "netlist":
-        validate_netlist_bench(args.bench_json)
+    if args.bench:
+        bench_json = args.bench_json or f"BENCH_{args.bench}_perf.json"
+        if args.bench == "netlist":
+            validate_netlist_bench(bench_json)
+        else:
+            validate_sat_bench(bench_json)
 
 
 if __name__ == "__main__":

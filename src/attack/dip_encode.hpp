@@ -18,9 +18,8 @@
 // with `units_only` sweeps of cheap random patterns.
 //
 // One encoder instance serves N key copies (the two miter copies of the
-// attack, or the single copy of the final key-extraction solve): the fold
-// is shared, clause emission is replicated per copy against that copy's key
-// variables.
+// attack): the fold is shared, clause emission is replicated per copy
+// against that copy's key variables.
 #pragma once
 
 #include <map>

@@ -1,5 +1,6 @@
 #include "attack/registry.hpp"
 
+#include <charconv>
 #include <chrono>
 #include <map>
 #include <sstream>
@@ -45,6 +46,23 @@ ScanOracle make_oracle(const Ctx& c) {
 
 bool truthy(const std::string& v) { return v == "1" || v == "true"; }
 
+/// Strict integer parse of a tuning value: the whole string must be an
+/// integer >= `min`, else std::invalid_argument names the attack, the key
+/// and the value.
+int parse_int(const std::string& attack, const std::string& key,
+              const std::string& value, int min) {
+  int v = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+  if (ec != std::errc() || ptr != end || v < min) {
+    throw std::invalid_argument("attack \"" + attack + "\": tuning key \"" +
+                                key + "\" needs an integer >= " +
+                                std::to_string(min) + ", got \"" + value +
+                                "\"");
+  }
+  return v;
+}
+
 void fold_base(UnifiedResult& u, const AttackBase& b) {
   static_cast<AttackBase&>(u) = b;
 }
@@ -54,16 +72,12 @@ UnifiedResult run_sat(const Ctx& c) {
   opt.overlay(c.common);
   opt.parallel = c.parallel;
   for (const auto& [k, v] : c.tuning) {
-    if (k == "portfolio") {
-      opt.portfolio = std::stoi(v);
-    } else if (k == "naive") {
+    if (k == "naive") {
       opt.cone_pruning = !truthy(v);
     } else if (k == "max_iterations") {
-      opt.max_iterations = std::stoi(v);
+      opt.max_iterations = parse_int("sat", k, v, 1);
     } else if (k == "warmup_words") {
-      opt.warmup_words = std::stoi(v);
-    } else if (k == "slice_conflicts") {
-      opt.slice_conflicts = std::stoll(v);
+      opt.warmup_words = parse_int("sat", k, v, 0);
     } else {
       bad_tuning("sat", k);
     }
@@ -332,13 +346,11 @@ const std::map<std::string, AttackInfo, std::less<>>& catalogue_entries() {
       {"sat",
        {"sat",
         "oracle-guided SAT attack (DIP refinement, cone-pruned encoding, "
-        "optional solver portfolio)",
-        {{"portfolio", "1", "parallel solver portfolio size"},
-         {"naive", "0", "legacy full-copy DIP encoding"},
-         {"max_iterations", "0", "DIP cap (0 = unlimited)"},
-         {"warmup_words", "16", "64-pattern simulation words seeding the "
-                                "learned-row warm-up"},
-         {"slice_conflicts", "0", "conflict budget per portfolio slice"}}}},
+        "simulation warm-up)",
+        {{"naive", "0", "legacy full-copy DIP encoding"},
+         {"max_iterations", "512", "DIP cap (>= 1)"},
+         {"warmup_words", "4", "64-pattern simulation words seeding the "
+                               "learned-row warm-up (0 disables)"}}}},
       {"sens",
        {"sens",
         "classic input-sensitization attack: justify each row, observe "

@@ -51,7 +51,7 @@ struct UnifiedResult : AttackBase {
 };
 
 /// Attack-specific knobs passed as (key, value) strings, e.g.
-/// {{"portfolio", "4"}, {"frames", "12"}}. Adapters reject unknown keys
+/// {{"warmup_words", "8"}, {"frames", "12"}}. Adapters reject unknown keys
 /// with std::invalid_argument so CLI typos surface instead of silently
 /// running defaults. An empty tuning plus a default request reproduces the
 /// direct call exactly.
@@ -75,8 +75,8 @@ class Registry {
  public:
   /// Run attack `name` against the attacker's netlist `hybrid` (LUT masks
   /// unknown/ignored) with oracle access to the `configured` chip.
-  /// `parallel` optionally fans SAT portfolio slices / warm-up batches
-  /// across threads (results stay bit-identical; see SatAttackOptions).
+  /// `parallel` optionally fans the SAT warm-up batch across threads
+  /// (results stay bit-identical; see SatAttackOptions).
   /// `oracle_sim`, when set, must be a CompiledSim lowering of exactly
   /// `configured`; the scan-oracle attacks then borrow it instead of
   /// compiling their own (the campaign's dedup cache shares one lowering

@@ -11,6 +11,8 @@ namespace {
 constexpr double kVarDecay = 1.0 / 0.95;
 constexpr double kClauseDecay = 1.0 / 0.999;
 constexpr double kRescale = 1e100;
+// Conflicts per Luby restart unit.
+constexpr std::int64_t kRestartUnit = 100;
 
 // Deadline polling period: one wall-clock read per this many conflicts.
 constexpr std::int64_t kDeadlineCheckMask = 255;
@@ -41,23 +43,6 @@ std::int64_t luby_sequence(std::int64_t i) {
 
 Solver::Solver() = default;
 
-void Solver::set_config(const SolverConfig& config) {
-  config_ = config;
-  if (config_.restart_unit < 1) config_.restart_unit = 1;
-  rng_state_ = config.seed | 1ull;  // xorshift must not start at zero
-  for (std::size_t v = 0; v < phase_.size(); ++v) {
-    phase_[v] = config_.default_phase;
-  }
-}
-
-std::uint64_t Solver::next_random() {
-  std::uint64_t x = rng_state_;
-  x ^= x << 13;
-  x ^= x >> 7;
-  x ^= x << 17;
-  return rng_state_ = x;
-}
-
 void Solver::set_deadline(double seconds_from_now) {
   if (seconds_from_now < 0) {
     has_deadline_ = false;
@@ -82,7 +67,7 @@ Var Solver::new_var() {
   const Var v = static_cast<Var>(activity_.size());
   activity_.push_back(0.0);
   assigns_.push_back(kUndef);
-  phase_.push_back(config_.default_phase);
+  phase_.push_back(false);
   level_.push_back(0);
   reason_.push_back(kNoClause);
   seen_.push_back(0);
@@ -421,13 +406,6 @@ void Solver::analyze(ClauseRef confl, std::vector<Lit>& learnt,
 }
 
 Lit Solver::pick_branch() {
-  if (config_.random_branch_freq > 0.0 &&
-      static_cast<double>(next_random() >> 11) * 0x1.0p-53 <
-          config_.random_branch_freq &&
-      num_vars() > 0) {
-    const Var v = static_cast<Var>(next_random() % num_vars());
-    if (assigns_[v] == kUndef) return Lit(v, !phase_[v]);
-  }
   while (!heap_.empty()) {
     const Var v = heap_pop();
     if (assigns_[v] == kUndef) return Lit(v, !phase_[v]);
@@ -483,8 +461,7 @@ Result Solver::solve(std::span<const Lit> assumptions) {
   std::int64_t max_learnts =
       static_cast<std::int64_t>(clauses_.size()) / 3 + 2000;
   std::int64_t restart_index = 0;
-  std::int64_t restart_limit =
-      luby_sequence(restart_index) * config_.restart_unit;
+  std::int64_t restart_limit = luby_sequence(restart_index) * kRestartUnit;
   std::int64_t conflicts_since_restart = 0;
   std::vector<Lit> learnt;
 
@@ -529,7 +506,7 @@ Result Solver::solve(std::span<const Lit> assumptions) {
     if (conflicts_since_restart >= restart_limit) {
       backtrack(0);
       ++restart_index;
-      restart_limit = luby_sequence(restart_index) * config_.restart_unit;
+      restart_limit = luby_sequence(restart_index) * kRestartUnit;
       conflicts_since_restart = 0;
       if (learnt_count_ > max_learnts) {
         reduce_db();

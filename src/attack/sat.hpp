@@ -10,10 +10,8 @@
 // `solve()` accepts assumption literals plus two resource caps — a conflict
 // budget and a wall-clock deadline — so attacks can run under a resource
 // cap and report "undecided" (with the cause) rather than hanging.
-//
-// `SolverConfig` diversifies restart cadence, decision randomization and
-// default polarity; the attack portfolio races differently-configured
-// solvers over the same clause set.
+// Decisions are pure VSIDS and the search is deterministic: the same clause
+// and call sequence always yields the same trajectory.
 #pragma once
 
 #include <cstdint>
@@ -58,18 +56,8 @@ enum class Result { kSat, kUnsat, kUnknown };
 enum class StopCause : std::uint8_t { kNone, kConflictBudget, kDeadline };
 
 /// The Luby restart sequence (0-indexed): 1,1,2,1,1,2,4,1,1,2,...
-/// Exposed for tests and for callers sizing conflict slices.
+/// Exposed for tests.
 std::int64_t luby_sequence(std::int64_t i);
-
-/// Heuristic knobs that diversify solver behaviour without affecting
-/// soundness. All defaults reproduce the classic deterministic solver; a
-/// nonzero seed enables randomized decision tie-breaking.
-struct SolverConfig {
-  std::uint64_t seed = 0;            ///< PRNG seed (0 keeps decisions pure VSIDS)
-  double random_branch_freq = 0.0;   ///< probability of a random decision var
-  int restart_unit = 100;            ///< conflicts per Luby restart unit
-  bool default_phase = false;        ///< initial saved polarity of variables
-};
 
 class Solver {
  public:
@@ -77,10 +65,6 @@ class Solver {
 
   Var new_var();
   int num_vars() const { return static_cast<int>(activity_.size()); }
-
-  /// Install heuristic knobs. Resets saved phases of existing variables to
-  /// the configured default; call before solving for reproducible runs.
-  void set_config(const SolverConfig& config);
 
   /// Add a clause over existing variables. Returns false if the formula is
   /// already unsatisfiable at level 0.
@@ -179,7 +163,6 @@ class Solver {
   std::uint32_t abstract_level(Var v) const {
     return 1u << (level_[v] & 31);
   }
-  std::uint64_t next_random();
   bool deadline_expired() const;
   void note_clause_stored();
 
@@ -210,9 +193,6 @@ class Solver {
   std::vector<std::uint8_t> seen_;
   std::vector<Var> analyze_clear_;
   std::vector<Lit> analyze_stack_;
-
-  SolverConfig config_;
-  std::uint64_t rng_state_ = 0;
 
   bool has_deadline_ = false;
   std::int64_t deadline_ns_ = 0;  ///< steady_clock epoch nanoseconds

@@ -15,19 +15,9 @@
 // Before the DIP loop a simulation-guided warm-up floods the oracle with
 // cheap word-parallel random patterns (CompiledSim under ScanOracle::
 // query_batch) and harvests the key rows that fold to single literals as
-// unit constraints. An optional portfolio of `portfolio` differently-
-// configured solvers races the hard UNSAT proofs in deterministic lockstep
-// conflict slices:
-//  * every SAT verdict (each DIP) comes from member 0 only, so the DIP
-//    sequence — and with it iterations, queries, and the recovered key —
-//    is identical for any portfolio size and any thread count;
-//  * helper members join from the second slice of a call onward and can
-//    only contribute a (model-free) UNSAT verdict earlier than member 0;
-//  * the final key is extracted by a fresh deterministic solver replaying
-//    the recorded I/O pairs against a single symbolic copy.
-// The only S-dependent corner is a conflict-budget exhaustion that a larger
-// portfolio turns into a completed UNSAT proof — a strictly stronger
-// attacker, reported via `stats.unsat_winner`.
+// unit constraints. One deterministic solver runs the whole attack: each
+// DIP is one solve capped by `work_budget` conflicts, and after the final
+// UNSAT the key is read from the same solver.
 //
 // This is the strongest practical attack the paper argues against; the
 // reproduction uses it to *validate* the paper's security ordering:
@@ -46,11 +36,9 @@ namespace stt {
 struct SatAttackOptions : attack::CommonAttackOptions {
   /// Historical defaults: `time_limit_s` is a wall-clock cap honored
   /// *inside* solver calls via the solver deadline (checked every 256
-  /// conflicts); `work_budget` is the SAT conflict cap per solver call —
-  /// exceeding it aborts the attack with budget_exhausted (the defender
-  /// "wins on resources"), counted on the canonical member only so the cap
-  /// is portfolio-size independent; `seed` drives warm-up stimulus and
-  /// helper-member diversification.
+  /// conflicts); `work_budget` is the exact SAT conflict cap per solver
+  /// call — exceeding it aborts the attack with budget_exhausted (the
+  /// defender "wins on resources"); `seed` drives the warm-up stimulus.
   SatAttackOptions() {
     seed = 0x5a7a11cull;
     time_limit_s = 60.0;
@@ -61,7 +49,7 @@ struct SatAttackOptions : attack::CommonAttackOptions {
 
   /// Cone-pruned constant-folded DIP encoding (the fast engine). Off =
   /// the legacy two-full-copies-per-DIP encoding, kept as the benchmark
-  /// baseline; the legacy path ignores warm-up and portfolio.
+  /// baseline; the legacy path ignores warm-up.
   bool cone_pruning = true;
   /// Simulation-guided warm-up: 64*warmup_words random oracle patterns are
   /// folded for free key bits before the DIP loop. 0 disables.
@@ -70,38 +58,31 @@ struct SatAttackOptions : attack::CommonAttackOptions {
   /// outputs are fully cone-encoded into the CNF (the rest only contribute
   /// their unit constraints).
   int warmup_pair_limit = 8;
-  /// Solver configurations racing the UNSAT proofs (>=1).
-  int portfolio = 1;
-  /// Lockstep slice granularity (conflicts per member per round).
-  std::int64_t slice_conflicts = 20'000;
-  /// Fans portfolio slices and the warm-up batch across threads; results
-  /// are bit-identical with or without it. Must not be a pool the caller
-  /// is itself running inside.
+  /// Fans the warm-up batch across threads; results are bit-identical
+  /// with or without it. Must not be a pool the caller is itself running
+  /// inside.
   ParallelFor* parallel = nullptr;
 };
 
-/// Deterministic solver telemetry: canonical member (member 0) plus the
-/// final key-extraction solve. Identical across thread counts; identical
-/// across portfolio sizes up to the terminal UNSAT race (see unsat_winner).
+/// Deterministic solver telemetry of the whole attack, final key solve
+/// included. Identical across thread counts.
 struct SatAttackStats {
   std::int64_t decisions = 0;
   std::int64_t propagations = 0;
   std::int64_t learned = 0;       ///< clauses learnt from conflicts
   std::int64_t peak_clauses = 0;  ///< live-clause high-water mark
-  /// Clauses submitted to the canonical solver: at miter construction +
+  /// Clauses submitted to the solver: at miter construction +
   /// warm-up, and added by the DIP loop (the per-iteration CNF delta).
   std::int64_t cnf_initial_clauses = 0;
   std::int64_t cnf_dip_clauses = 0;
   double cnf_clauses_per_iter = 0;  ///< cnf_dip_clauses / iterations
   int key_rows_resolved = 0;        ///< unit key bits from folding
   int warmup_pairs_encoded = 0;     ///< complex warm-up pairs in the CNF
-  int portfolio = 1;
-  int unsat_winner = -1;  ///< member that proved UNSAT (-1: none needed)
 };
 
 struct SatAttackResult : attack::AttackBase {
   int iterations = 0;          ///< DIPs generated
-  std::int64_t conflicts = 0;  ///< canonical member + key extraction
+  std::int64_t conflicts = 0;  ///< DIP solves + key extraction
   SatAttackStats stats;
 };
 

@@ -143,7 +143,7 @@ void run_attack_stage(CampaignRow& row, const Netlist& hybrid,
   // Wall-clock limits are disabled and the dominant-work budgets are
   // fixed, so the outcome and every telemetry column are machine- and
   // --jobs-independent. (The stage already runs on a pool worker, so no
-  // ParallelFor is passed — the SAT attack stays portfolio=1, serial.)
+  // ParallelFor is passed — the SAT warm-up stays serial.)
   attack::CommonAttackOptions common;
   common.seed = attack_seed;
   common.time_limit_s = attack::CommonAttackOptions::kNoTimeLimit;

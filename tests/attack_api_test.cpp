@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "attack/brute_force.hpp"
 #include "attack/dpa.hpp"
@@ -80,6 +83,40 @@ TEST(AttackRegistry, UnknownTuningKeyThrows) {
   EXPECT_THROW(attack::registry().run("sens", locked().view, locked().hybrid,
                                       {}, bad),
                std::invalid_argument);
+}
+
+TEST(AttackRegistry, SatRejectsBadTuningValuesByName) {
+  const std::pair<const char*, const char*> bad[] = {
+      {"max_iterations", "abc"}, {"max_iterations", "0"},
+      {"max_iterations", "12x"}, {"warmup_words", "-3"},
+      {"warmup_words", ""}};
+  for (const auto& [key, value] : bad) {
+    try {
+      attack::registry().run("sat", locked().view, locked().hybrid, {},
+                             {{key, value}});
+      ADD_FAILURE() << key << "=" << value << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("\"sat\""), std::string::npos) << msg;
+      EXPECT_NE(msg.find(key), std::string::npos) << msg;
+      EXPECT_NE(msg.find("\"" + std::string(value) + "\""), std::string::npos)
+          << msg;
+    }
+  }
+}
+
+TEST(AttackRegistry, SatCatalogueDefaultsMatchOptions) {
+  const SatAttackOptions defaults;
+  std::map<std::string, std::string> listed;
+  for (const attack::AttackKnob& knob : attack::registry().info("sat").knobs) {
+    listed[knob.key] = knob.default_value;
+  }
+  EXPECT_EQ(listed, (std::map<std::string, std::string>{
+                        {"naive", defaults.cone_pruning ? "0" : "1"},
+                        {"max_iterations",
+                         std::to_string(defaults.max_iterations)},
+                        {"warmup_words",
+                         std::to_string(defaults.warmup_words)}}));
 }
 
 TEST(AttackRegistry, SatMatchesDirectCall) {

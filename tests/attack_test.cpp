@@ -139,27 +139,6 @@ TEST(SatAttack, PrunedAndNaiveRecoverEquivalentKeys) {
   }
 }
 
-TEST(SatAttack, PortfolioSizeDoesNotChangeResult) {
-  const CircuitProfile profile{"sat-port", 7, 5, 5, 110, 7};
-  const Netlist original = generate_circuit(profile, 29);
-  const auto [orig, hybrid] =
-      lock(original, SelectionAlgorithm::kParametric, 11);
-  const Netlist view = foundry_view(hybrid);
-
-  SatAttackOptions solo;
-  solo.portfolio = 1;
-  SatAttackOptions trio;
-  trio.portfolio = 3;
-  const auto r1 = run_sat_attack(view, orig, solo);
-  const auto r3 = run_sat_attack(view, orig, trio);
-  ASSERT_TRUE(r1.success());
-  ASSERT_TRUE(r3.success());
-  EXPECT_EQ(r1.iterations, r3.iterations);
-  EXPECT_EQ(r1.queries, r3.queries);
-  EXPECT_EQ(r1.key, r3.key);
-  EXPECT_EQ(r3.stats.portfolio, 3);
-}
-
 TEST(SatAttack, WarmupResolvesKeyRowsBeforeDipLoop) {
   // Sparse independent LUTs in a larger circuit: some output cones fold to
   // single key literals under random patterns, so the warm-up harvests
@@ -201,6 +180,28 @@ TEST(SatAttack, TimeLimitIsHonoredInsideSolves) {
     // though the limit lands mid-solve.
     EXPECT_LT(result.elapsed_s, 5.0);
   }
+}
+
+TEST(SatAttack, WorkBudgetCapsEverySolveExactly) {
+  // Unbudgeted, this lock is solved, but at least one of its solves needs
+  // more than kBudget conflicts. With the budget, that solve must stop at
+  // the cap: every DIP solve plus the one that ran out spends at most
+  // kBudget conflicts.
+  const CircuitProfile profile{"sat-budget", 10, 8, 8, 400, 10};
+  const Netlist original = generate_circuit(profile, 11);
+  const auto [orig, hybrid] =
+      lock(original, SelectionAlgorithm::kDependent, 9);
+  const Netlist view = foundry_view(hybrid);
+  constexpr std::int64_t kBudget = 200;
+
+  const auto open = run_sat_attack(view, orig);
+  ASSERT_TRUE(open.success());
+
+  SatAttackOptions opt;
+  opt.work_budget = kBudget;
+  const auto capped = run_sat_attack(view, orig, opt);
+  EXPECT_TRUE(capped.budget_exhausted());
+  EXPECT_LE(capped.conflicts, (capped.iterations + 1) * kBudget);
 }
 
 TEST(Sensitization, ResolvesIsolatedLut) {

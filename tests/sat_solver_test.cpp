@@ -1,12 +1,11 @@
 // Tests for the solver-core features behind the fast attack engine:
 // restart schedule, incremental assumption reuse, budget/deadline stop
-// causes, learnt-database reduction, and configuration-seeded portfolios.
+// causes, phase saving, and learnt-database reduction.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "attack/sat.hpp"
-#include "util/rng.hpp"
 
 namespace stt::sat {
 namespace {
@@ -127,94 +126,45 @@ TEST(SatSolverCore, AssumptionReuseAcrossIncrementalCalls) {
 }
 
 TEST(SatSolverCore, ModelConsistentAfterReduceDb) {
-  // Force learnt-database reductions during a guarded PHP refutation, then
-  // drop the guard and check the model against every original clause.
+  // A guarded PHP refutation long enough to halve the learnt database
+  // under the default restart schedule; then an unguarded n-into-n
+  // matching is added to the same solver and its model checked.
   Solver s;
-  SolverConfig cfg;
-  cfg.restart_unit = 1;  // restart (and reduce-check) as often as possible
-  s.set_config(cfg);
   const Var e = s.new_var();
   const Lit guard = pos(e);
-  const auto p = add_php(s, 9, 8, &guard);
+  add_php(s, 9, 8, &guard);
 
   const Lit assume_on[] = {guard};
   ASSERT_EQ(s.solve(assume_on), Result::kUnsat);
   EXPECT_GE(s.db_reductions(), 1);
 
+  const auto holes = add_php(s, 6, 6);
   const Lit assume_off[] = {~guard};
   ASSERT_EQ(s.solve(assume_off), Result::kSat);
-  // With the guard false every PHP clause is trivially satisfied; what must
-  // hold is that the solver still produces a total, consistent model.
   EXPECT_FALSE(s.value(e));
-
-  // And a fresh unguarded satisfiable instance after reductions: n into n.
-  Solver s2;
-  SolverConfig cfg2;
-  cfg2.restart_unit = 1;
-  s2.set_config(cfg2);
-  const auto holes = add_php(s2, 6, 6);
-  ASSERT_EQ(s2.solve(), Result::kSat);
-  // Verify the assignment is a real pigeon->hole matching.
+  // The model must be a real pigeon->hole matching.
   for (int i = 0; i < 6; ++i) {
     int assigned = 0;
-    for (int j = 0; j < 6; ++j) assigned += s2.value(holes[i][j]) ? 1 : 0;
+    for (int j = 0; j < 6; ++j) assigned += s.value(holes[i][j]) ? 1 : 0;
     EXPECT_GE(assigned, 1) << "pigeon " << i;
   }
   for (int j = 0; j < 6; ++j) {
     int occupancy = 0;
-    for (int i = 0; i < 6; ++i) occupancy += s2.value(holes[i][j]) ? 1 : 0;
+    for (int i = 0; i < 6; ++i) occupancy += s.value(holes[i][j]) ? 1 : 0;
     EXPECT_LE(occupancy, 1) << "hole " << j;
-  }
-}
-
-TEST(SatSolverCore, ConfiguredSolversAreDeterministic) {
-  SolverConfig cfg;
-  cfg.seed = 42;
-  cfg.random_branch_freq = 0.1;
-  cfg.restart_unit = 37;
-  cfg.default_phase = true;
-
-  auto run = [&cfg]() {
-    Solver s;
-    s.set_config(cfg);
-    add_php(s, 7, 6);
-    EXPECT_EQ(s.solve(), Result::kUnsat);
-    return std::pair{s.conflicts(), s.decisions()};
-  };
-  const auto first = run();
-  const auto second = run();
-  EXPECT_EQ(first, second);
-}
-
-TEST(SatSolverCore, DiversifiedConfigsStayCorrect) {
-  // Whatever the branching noise, verdicts must not change.
-  for (std::uint64_t seed : {1ull, 7ull, 99ull}) {
-    SolverConfig cfg;
-    cfg.seed = seed;
-    cfg.random_branch_freq = 0.5;
-    cfg.restart_unit = 3;
-    cfg.default_phase = (seed & 1) != 0;
-
-    Solver uns;
-    uns.set_config(cfg);
-    add_php(uns, 6, 5);
-    EXPECT_EQ(uns.solve(), Result::kUnsat) << "seed " << seed;
-
-    Solver sat_s;
-    sat_s.set_config(cfg);
-    add_php(sat_s, 5, 5);
-    EXPECT_EQ(sat_s.solve(), Result::kSat) << "seed " << seed;
   }
 }
 
 TEST(SatSolverCore, PhaseSavingAndSetPhase) {
   Solver s;
-  SolverConfig cfg;
-  cfg.default_phase = true;
-  s.set_config(cfg);
   const Var a = s.new_var();
   const Var b = s.new_var();
   s.add_binary(pos(a), pos(b));  // both free; decisions follow the phase
+  s.set_phase(a, true);
+  ASSERT_EQ(s.solve(), Result::kSat);
+  EXPECT_TRUE(s.value(a));
+
+  // The model's phases are saved: an unconstrained re-solve repeats it.
   ASSERT_EQ(s.solve(), Result::kSat);
   EXPECT_TRUE(s.value(a));
 

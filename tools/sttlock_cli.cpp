@@ -12,7 +12,7 @@
 //   sttlock attack  --view f.bench --oracle h.bench
 //                   --kind sat|seq|sens|gsens|bf|ml|dpa|static
 //                   [--seed S --time-limit T --query-budget Q --work-budget W]
-//                   [--tune k=v,... --portfolio K --jobs N --naive]
+//                   [--tune k=v,... --jobs N --naive]
 //                   [--trace t.json --metrics m.json]
 //   sttlock attack  --list            (attack kinds + tuning knobs)
 //   sttlock convert --in x.bench --out y.v     (format by extension:
@@ -300,10 +300,8 @@ int cmd_attack(const std::vector<std::string>& args) {
                "");
   p.add_option("--tune",
                "comma list of attack-specific key=value knobs, e.g. "
-               "portfolio=4,frames=12",
+               "warmup_words=8,frames=12",
                "");
-  p.add_option("--portfolio", "sat solver portfolio size (sugar for --tune)",
-               "1");
   p.add_flag("--naive", "legacy full-copy DIP encoding (sat baseline)");
   cli::CommonOptions common_opt(p, cli::kJobs | cli::kObs | cli::kSimIsa);
   p.parse(args);
@@ -339,9 +337,6 @@ int cmd_attack(const std::vector<std::string>& args) {
   }
 
   attack::Tuning tuning = parse_tuning_list(p.get("--tune"), ',');
-  if (p.get_int("--portfolio") != 1) {
-    tuning.emplace_back("portfolio", p.get("--portfolio"));
-  }
   if (p.flag("--naive")) tuning.emplace_back("naive", "1");
 
   const unsigned jobs = common_opt.jobs();
@@ -368,11 +363,10 @@ int cmd_attack(const std::vector<std::string>& args) {
         static_cast<long long>(r.sat.peak_clauses));
     std::printf(
         "  cnf: %lld initial + %lld dip clauses (%.1f/iter), "
-        "%d key rows folded, portfolio %d%s\n",
+        "%d key rows folded\n",
         static_cast<long long>(r.sat.cnf_initial_clauses),
         static_cast<long long>(r.sat.cnf_dip_clauses),
-        r.sat.cnf_clauses_per_iter, r.sat.key_rows_resolved, r.sat.portfolio,
-        r.sat.unsat_winner > 0 ? " (helper won the UNSAT race)" : "");
+        r.sat.cnf_clauses_per_iter, r.sat.key_rows_resolved);
   }
   if (r.success()) std::fputs(key_to_string(r.key).c_str(), stdout);
   return r.success() ? 0 : 2;
