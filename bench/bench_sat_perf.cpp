@@ -73,8 +73,8 @@ int main(int argc, char** argv) {
   ArgParser args;
   args.add_option("--benchmark",
                   "ISCAS'89 profile name (default s13207; s953 with --smoke)");
-  args.add_option("--algorithm", "independent | dependent | parametric",
-                  "dependent");
+  args.add_option("--kind", "paper defense kind: independent | dependent | "
+                  "parametric", "dependent");
   args.add_option("--time-limit", "per-mode wall-clock cap in seconds", "300");
   args.add_option("--min-speedup",
                   "gate: pruned_sim vs naive (default 5; 2 with --smoke)");
@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
                  bench_name.c_str());
     return 2;
   }
-  const std::string alg_name = args.get("--algorithm");
+  const std::string alg_name = args.get("--kind");
   SelectionAlgorithm alg;
   if (alg_name == "independent") {
     alg = SelectionAlgorithm::kIndependent;
@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
   } else if (alg_name == "parametric") {
     alg = SelectionAlgorithm::kParametric;
   } else {
-    std::fprintf(stderr, "bench_sat_perf: unknown algorithm %s\n",
+    std::fprintf(stderr, "bench_sat_perf: unknown kind %s\n",
                  alg_name.c_str());
     return 2;
   }

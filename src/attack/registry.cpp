@@ -2,9 +2,11 @@
 
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "attack/brute_force.hpp"
 #include "attack/dpa.hpp"
@@ -46,19 +48,22 @@ ScanOracle make_oracle(const Ctx& c) {
 
 bool truthy(const std::string& v) { return v == "1" || v == "true"; }
 
-/// Strict integer parse of a tuning value: the whole string must be an
-/// integer >= `min`, else std::invalid_argument names the attack, the key
-/// and the value.
-int parse_int(const std::string& attack, const std::string& key,
-              const std::string& value, int min) {
-  int v = 0;
+/// Strict parse of a numeric tuning value: the whole string must be a
+/// finite number (an integer for integral T) >= `min`, else
+/// std::invalid_argument names the attack, the key and the value.
+template <typename T>
+T parse_knob(const std::string& attack, const std::string& key,
+             const std::string& value, T min) {
+  T v{};
   const char* end = value.data() + value.size();
   const auto [ptr, ec] = std::from_chars(value.data(), end, v);
-  if (ec != std::errc() || ptr != end || v < min) {
+  if (ec != std::errc() || ptr != end || !std::isfinite(v) || v < min) {
+    std::ostringstream need;
+    need << (std::is_integral_v<T> ? "an integer" : "a number") << " >= "
+         << min;
     throw std::invalid_argument("attack \"" + attack + "\": tuning key \"" +
-                                key + "\" needs an integer >= " +
-                                std::to_string(min) + ", got \"" + value +
-                                "\"");
+                                key + "\" needs " + need.str() + ", got \"" +
+                                value + "\"");
   }
   return v;
 }
@@ -75,9 +80,9 @@ UnifiedResult run_sat(const Ctx& c) {
     if (k == "naive") {
       opt.cone_pruning = !truthy(v);
     } else if (k == "max_iterations") {
-      opt.max_iterations = parse_int("sat", k, v, 1);
+      opt.max_iterations = parse_knob("sat", k, v, 1);
     } else if (k == "warmup_words") {
-      opt.warmup_words = parse_int("sat", k, v, 0);
+      opt.warmup_words = parse_knob("sat", k, v, 0);
     } else {
       bad_tuning("sat", k);
     }
@@ -101,9 +106,9 @@ UnifiedResult run_seq(const Ctx& c) {
   opt.overlay(c.common);
   for (const auto& [k, v] : c.tuning) {
     if (k == "frames") {
-      opt.frames = std::stoi(v);
+      opt.frames = parse_knob("seq", k, v, 1);
     } else if (k == "max_iterations") {
-      opt.max_iterations = std::stoi(v);
+      opt.max_iterations = parse_knob("seq", k, v, 1);
     } else {
       bad_tuning("seq", k);
     }
@@ -125,7 +130,7 @@ UnifiedResult run_bf(const Ctx& c) {
   opt.overlay(c.common);
   for (const auto& [k, v] : c.tuning) {
     if (k == "screening_patterns") {
-      opt.screening_patterns = std::stoi(v);
+      opt.screening_patterns = parse_knob("bf", k, v, 1);
     } else if (k == "all_masks") {
       opt.standard_candidates_only = !truthy(v);
     } else {
@@ -149,7 +154,7 @@ UnifiedResult run_ml(const Ctx& c) {
   opt.overlay(c.common);
   for (const auto& [k, v] : c.tuning) {
     if (k == "training_patterns") {
-      opt.training_patterns = std::stoi(v);
+      opt.training_patterns = parse_knob("ml", k, v, 1);
     } else if (k == "bitflip") {
       opt.standard_candidates_only = !truthy(v);
     } else {
@@ -189,7 +194,7 @@ UnifiedResult run_gsens(const Ctx& c) {
   opt.overlay(c.common);
   for (const auto& [k, v] : c.tuning) {
     if (k == "max_witnesses_per_row") {
-      opt.max_witnesses_per_row = std::stoi(v);
+      opt.max_witnesses_per_row = parse_knob("gsens", k, v, 1);
     } else {
       bad_tuning("gsens", k);
     }
@@ -213,9 +218,9 @@ UnifiedResult run_dpa(const Ctx& c) {
   std::string target_name;
   for (const auto& [k, v] : c.tuning) {
     if (k == "cycles") {
-      trace.cycles = std::stoi(v);
+      trace.cycles = parse_knob("dpa", k, v, 1);
     } else if (k == "noise_fj") {
-      trace.noise_sigma_fj = std::stod(v);
+      trace.noise_sigma_fj = parse_knob("dpa", k, v, 0.0);
     } else if (k == "target") {
       target_name = v;
     } else {
@@ -321,26 +326,28 @@ const std::map<std::string, AttackInfo, std::less<>>& catalogue_entries() {
        {"bf",
         "exhaustive key search over the Eq. (3) candidate space, "
         "screening-pattern pre-filtered",
-        {{"screening_patterns", "4", "oracle patterns per candidate screen"},
+        {{"screening_patterns", "192",
+          "oracle patterns per candidate screen (>= 1)"},
          {"all_masks", "0", "search all 2^2^k masks, not just standard "
                             "gate candidates"}}}},
       {"dpa",
        {"dpa",
         "differential power analysis of one STT LUT from a simulated "
         "power trace",
-        {{"cycles", "256", "measured trace length in clock cycles"},
-         {"noise_fj", "0", "gaussian measurement noise sigma (fJ)"},
+        {{"cycles", "512", "measured trace length in clock cycles (>= 1)"},
+         {"noise_fj", "0", "gaussian measurement noise sigma in fJ (>= 0)"},
          {"target", "<first LUT>", "name of the LUT cell to attack"}}}},
       {"gsens",
        {"gsens",
         "SAT-guided sensitization: prove or refute a propagation witness "
         "per truth-table row",
-        {{"max_witnesses_per_row", "8",
-          "witness attempts before a row is abandoned"}}}},
+        {{"max_witnesses_per_row", "16",
+          "witness attempts before a row is abandoned (>= 1)"}}}},
       {"ml",
        {"ml",
         "simulated-annealing model fit of the key against oracle responses",
-        {{"training_patterns", "256", "oracle patterns in the training set"},
+        {{"training_patterns", "256",
+          "oracle patterns in the training set (>= 1)"},
          {"bitflip", "0", "anneal over raw mask bits instead of standard "
                           "gate candidates"}}}},
       {"sat",
@@ -360,9 +367,8 @@ const std::map<std::string, AttackInfo, std::less<>>& catalogue_entries() {
        {"seq",
         "sequential SAT attack: time-frame unrolling against a "
         "scan-locked chip",
-        {{"frames", "8", "unrolled time frames per query"},
-         {"max_iterations", "0", "distinguishing-sequence cap "
-                                 "(0 = unlimited)"}}}},
+        {{"frames", "8", "unrolled time frames per query (>= 1)"},
+         {"max_iterations", "256", "distinguishing-sequence cap (>= 1)"}}}},
       {"static",
        {"static",
         "oracle-free key-dependency analysis: unit-propagates injected "

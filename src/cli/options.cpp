@@ -5,7 +5,10 @@
 #include <stdexcept>
 #include <utility>
 
+#include "defense/registry.hpp"
 #include "sim/isa.hpp"
+#include "synth/generator.hpp"
+#include "util/strings.hpp"
 
 namespace stt::cli {
 
@@ -42,7 +45,12 @@ CommonOptions::CommonOptions(ArgParser& parser, unsigned groups)
 
 void CommonOptions::load(const ArgParser& parser) {
   if (groups_ & kJobs) {
-    jobs_ = static_cast<unsigned>(parser.get_int("--jobs"));
+    const std::int64_t jobs = parser.get_int("--jobs");
+    if (jobs < 0) {
+      throw ArgError("option '--jobs' expects a thread count >= 0, got '" +
+                     parser.get("--jobs") + "'");
+    }
+    jobs_ = static_cast<unsigned>(jobs);
   }
   if (groups_ & kTrace) trace_ = parser.get("--trace");
   if (groups_ & kMetrics) metrics_ = parser.get("--metrics");
@@ -52,6 +60,68 @@ void CommonOptions::load(const ArgParser& parser) {
   }
   if (groups_ & kQuiet) quiet_ = parser.flag("--quiet");
   if (groups_ & kJson) json_ = parser.flag("--json");
+}
+
+std::vector<std::string> split_list(const std::string& list, char sep) {
+  std::vector<std::string> out;
+  for (const std::string& entry : split(list, sep)) {
+    if (!trim(entry).empty()) out.emplace_back(trim(entry));
+  }
+  return out;
+}
+
+defense::Tuning parse_tuning_list(const std::string& list, char sep) {
+  defense::Tuning tuning;
+  for (const std::string& kv : split_list(list, sep)) {
+    const auto eq = kv.find('=');
+    if (eq == std::string::npos) {
+      throw ArgError("tuning entries must be key=value, got '" + kv + "'");
+    }
+    tuning.emplace_back(std::string(trim(kv.substr(0, eq))),
+                        std::string(trim(kv.substr(eq + 1))));
+  }
+  return tuning;
+}
+
+std::vector<DefenseAxis> parse_defense_axis(const std::string& arg) {
+  std::vector<DefenseAxis> axes;
+  if (arg == "all") {
+    for (const std::string& kind : defense::registry().names()) {
+      axes.push_back({kind, {}});
+    }
+    return axes;
+  }
+  for (const std::string& entry : split_list(arg)) {
+    const auto colon = entry.find(':');
+    DefenseAxis axis{std::string(trim(entry.substr(0, colon))), {}};
+    if (colon != std::string::npos) {
+      axis.tuning = parse_tuning_list(entry.substr(colon + 1), ':');
+    }
+    axes.push_back(std::move(axis));
+  }
+  return axes;
+}
+
+std::vector<std::string> expand_profiles(const std::string& arg) {
+  std::vector<std::string> names;
+  if (arg == "all") {
+    for (const CircuitProfile& profile : iscas89_profiles()) {
+      names.push_back(profile.name);
+    }
+    return names;
+  }
+  for (const std::string& name : split_list(arg)) {
+    if (!find_profile(name)) {
+      std::string known;
+      for (const CircuitProfile& profile : iscas89_profiles()) {
+        known += known.empty() ? profile.name : "|" + profile.name;
+      }
+      throw ArgError("unknown profile '" + name + "' (expected all or " +
+                     known + ")");
+    }
+    names.push_back(name);
+  }
+  return names;
 }
 
 void write_text_file(const std::string& path, const std::string& content) {

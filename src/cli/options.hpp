@@ -15,12 +15,18 @@
 //
 // Behavior (names, defaults, parsing) is identical to the per-subcommand
 // declarations it replaces — only the --help wording is unified.
+//
+// The grid axes shared by `campaign`, `lint --gen` and `analyze --gen` are
+// parsed here too, once: `parse_defense_axis` for --defense and
+// `expand_profiles` for --benchmarks / --gen.
 #pragma once
 
 #include <string>
 #include <vector>
 
+#include "defense/defense.hpp"
 #include "obs/obs.hpp"
+#include "runtime/campaign.hpp"
 #include "util/args.hpp"
 
 namespace stt::cli {
@@ -62,6 +68,23 @@ class CommonOptions {
   bool quiet_ = false;
   bool json_ = false;
 };
+
+/// The trimmed, non-empty entries of a `sep`-separated list.
+std::vector<std::string> split_list(const std::string& list, char sep = ',');
+
+/// `sep`-separated "key=value" entries (blank entries skipped); throws
+/// ArgError on an entry without '='.
+defense::Tuning parse_tuning_list(const std::string& list, char sep);
+
+/// The --defense axis: "all" (every registered defense, default tuning) or
+/// a comma list of kind[:k=v[:k=v...]] entries. Kinds and tuning keys are
+/// validated where the axis is applied.
+std::vector<DefenseAxis> parse_defense_axis(const std::string& arg);
+
+/// The benchmark axis (--benchmarks, --gen): "all" (the ISCAS'89 set in
+/// Table I order) or a comma list of profile names; throws ArgError naming
+/// an unknown profile and listing the known ones.
+std::vector<std::string> expand_profiles(const std::string& arg);
 
 /// Write `content` to `path`, throwing std::runtime_error on failure.
 void write_text_file(const std::string& path, const std::string& content);

@@ -283,6 +283,13 @@ Netlist read_bench(std::string_view text, std::string name) {
   }
   try {
     nl.finalize();
+  } catch (const CombinationalCycleError& e) {
+    int line = 0;
+    for (const PendingCell& cell : pending) {
+      if (cell.name == e.cell) line = cell.line;
+    }
+    throw BenchParseError("combinational cycle through '" + e.cell + "'",
+                          line);
   } catch (const std::exception& e) {
     throw BenchParseError(e.what(), 0);
   }

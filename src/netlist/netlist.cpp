@@ -244,8 +244,22 @@ void Netlist::topo_order_into(std::vector<CellId>& order) const {
 
   // DFF D-pin edges were skipped above, so DFF cells appeared as sources and
   // combinational cells must all be scheduled; anything left is a cycle.
+  // Every unscheduled cell still waits on an unscheduled driver, so walking
+  // those drivers backwards must revisit a cell, and that cell is on a cycle.
   if (order.size() != n) {
-    fail("combinational cycle detected in '" + name_ + "'");
+    CellId id = 0;
+    while (pending[id] == 0) ++id;
+    std::vector<char> seen(n, 0);
+    while (!seen[id]) {
+      seen[id] = 1;
+      for (const CellId driver : cells_[id].fanins) {
+        if (pending[driver] != 0) {
+          id = driver;
+          break;
+        }
+      }
+    }
+    throw CombinationalCycleError(name_, std::string(cells_[id].name));
   }
 }
 

@@ -27,8 +27,10 @@
 #include <cassert>
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "netlist/celltype.hpp"
@@ -38,6 +40,16 @@
 namespace stt {
 
 inline constexpr CellId kNullCell = static_cast<CellId>(-1);
+
+/// Thrown by `topo_order()` (and so `finalize()`) on a combinational cycle;
+/// `cell` names one cell that lies on the cycle.
+struct CombinationalCycleError : std::runtime_error {
+  CombinationalCycleError(const std::string& netlist, std::string cell_name)
+      : std::runtime_error("netlist: combinational cycle through '" +
+                           cell_name + "' in '" + netlist + "'"),
+        cell(std::move(cell_name)) {}
+  std::string cell;
+};
 
 struct Cell {
   CellKind kind = CellKind::kBuf;
@@ -153,7 +165,7 @@ class Netlist {
 
   /// All cell ids in a combinational topological order: PIs, constants and
   /// DFF outputs first, then gates such that every gate follows its drivers.
-  /// Throws std::runtime_error on a combinational cycle.
+  /// Throws CombinationalCycleError on a combinational cycle.
   std::vector<CellId> topo_order() const;
 
   /// Zero-allocation variant for hot callers: fills `out` (capacity is

@@ -49,12 +49,12 @@ std::uint64_t fnv1a(std::string_view s) {
 
 std::uint64_t campaign_seed(std::uint64_t master_seed,
                             std::string_view benchmark, int stage,
-                            int algorithm_index, int trial, int attempt) {
+                            int defense_index, int trial, int attempt) {
   // Feed every coordinate through two SplitMix64 rounds so neighbouring
   // grid points (trial k vs k+1, attempt 0 vs 1) get uncorrelated streams.
   std::uint64_t h = splitmix64(master_seed ^ fnv1a(benchmark));
   h = splitmix64(h ^ (static_cast<std::uint64_t>(stage) << 48) ^
-                 (static_cast<std::uint64_t>(algorithm_index + 1) << 32) ^
+                 (static_cast<std::uint64_t>(defense_index + 1) << 32) ^
                  (static_cast<std::uint64_t>(trial) << 8) ^
                  static_cast<std::uint64_t>(attempt));
   return h;
@@ -113,21 +113,6 @@ class ProgressSink {
   std::mutex mutex_;
 };
 
-/// Paper-adapter kinds mirror a SelectionAlgorithm into the legacy
-/// `CampaignRow::algorithm` field; other kinds leave it at the default.
-bool algorithm_for_kind(const std::string& kind, SelectionAlgorithm* alg) {
-  if (kind == "independent") {
-    *alg = SelectionAlgorithm::kIndependent;
-  } else if (kind == "dependent") {
-    *alg = SelectionAlgorithm::kDependent;
-  } else if (kind == "parametric") {
-    *alg = SelectionAlgorithm::kParametric;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 /// Scan-oracle attacks can borrow the group's shared CompiledSim lowering
 /// of the configured chip (the campaign dedup cache); the others ignore it.
 bool attack_uses_scan_oracle(const std::string& attack) {
@@ -135,7 +120,7 @@ bool attack_uses_scan_oracle(const std::string& attack) {
          attack == "sens" || attack == "gsens";
 }
 
-void run_attack_stage(CampaignRow& row, const Netlist& hybrid,
+void run_attack_stage(TrialRecord& row, const Netlist& hybrid,
                       const Netlist& attacker_view,
                       const CompiledSim* oracle_sim, const std::string& attack,
                       std::uint64_t attack_seed) {
@@ -194,19 +179,12 @@ CampaignReport run_campaign(const CampaignSpec& spec) {
     }
     profiles.push_back(*profile);
   }
-  report.algorithms = spec.algorithms;
   report.trials = spec.trials;
   report.master_seed = spec.master_seed;
 
-  // Resolve the defense axis; an explicit list overrides the legacy
-  // algorithm sweep. Kinds and tuning keys are validated up front so a typo
+  // Validate the defense axis up front so a typo in a kind or tuning key
   // fails the whole campaign before any job starts.
   report.defenses = spec.defenses;
-  if (report.defenses.empty()) {
-    for (const SelectionAlgorithm alg : spec.algorithms) {
-      report.defenses.push_back({algorithm_name(alg), {}});
-    }
-  }
   for (const DefenseAxis& axis : report.defenses) {
     if (!defense::registry().contains(axis.kind)) {
       std::string known;
@@ -230,9 +208,8 @@ CampaignReport run_campaign(const CampaignSpec& spec) {
     }
   }
 
-  // Resolve the attack axis the same way.
+  // Validate the attack axis the same way.
   report.attacks = spec.attacks;
-  if (report.attacks.empty()) report.attacks.push_back(spec.attack);
   for (const std::string& attack : report.attacks) {
     if (attack != "none" && !attack::registry().contains(attack)) {
       std::string known = "none";
@@ -243,11 +220,8 @@ CampaignReport run_campaign(const CampaignSpec& spec) {
                                   "' (expected " + known + ")");
     }
   }
-  report.attack.clear();
-  for (const std::string& attack : report.attacks) {
-    report.attack += report.attack.empty() ? attack : "," + attack;
-  }
-  if (profiles.empty() || report.defenses.empty() || spec.trials < 1) {
+  if (profiles.empty() || report.defenses.empty() || report.attacks.empty() ||
+      spec.trials < 1) {
     throw std::invalid_argument("campaign grid is empty");
   }
   if (spec.shard_count < 1 || spec.shard_index < 1 ||
@@ -312,10 +286,13 @@ CampaignReport run_campaign(const CampaignSpec& spec) {
   for (std::size_t d = 0; d < n_def; ++d) {
     tuning_strs[d] = tuning_to_string(report.defenses[d].tuning);
   }
-  const auto key_of = [&](std::size_t b, std::size_t d, std::size_t a,
-                          std::size_t t) {
-    return TrialKey{report.benchmarks[b], report.defenses[d].kind,
-                    tuning_strs[d], report.attacks[a], static_cast<int>(t)};
+  // The store key of flat row i (the inverse of `flat`).
+  const auto key_at = [&](std::size_t i) {
+    const std::size_t d = i / (n_att * n_trial) % n_def;
+    return TrialKey{report.benchmarks[i / (n_def * n_att * n_trial)],
+                    report.defenses[d].kind, tuning_strs[d],
+                    report.attacks[i / n_trial % n_att],
+                    static_cast<int>(i % n_trial)};
   };
 
   // Ownership and resume state per flat row: this process runs exactly the
@@ -325,20 +302,12 @@ CampaignReport run_campaign(const CampaignSpec& spec) {
   std::vector<char> owned(total_rows, 0);
   std::vector<char> resumed(total_rows, 0);
   std::size_t pending_rows = 0;
-  for (std::size_t b = 0; b < n_bench; ++b) {
-    for (std::size_t d = 0; d < n_def; ++d) {
-      for (std::size_t a = 0; a < n_att; ++a) {
-        for (std::size_t t = 0; t < n_trial; ++t) {
-          const std::size_t i = flat(b, d, a, t);
-          owned[i] = shard_owns(shard, i) ? 1 : 0;
-          if (owned[i] && store != nullptr &&
-              store->contains_trial(key_of(b, d, a, t))) {
-            resumed[i] = 1;
-          }
-          if (owned[i] && !resumed[i]) ++pending_rows;
-        }
-      }
+  for (std::size_t i = 0; i < total_rows; ++i) {
+    owned[i] = shard_owns(shard, i) ? 1 : 0;
+    if (owned[i] && store != nullptr && store->contains_trial(key_at(i))) {
+      resumed[i] = 1;
     }
+    if (owned[i] && !resumed[i]) ++pending_rows;
   }
 
   // Per-stage stable-metrics deltas (the report.obs contract): seeded from
@@ -431,11 +400,10 @@ CampaignReport run_campaign(const CampaignSpec& spec) {
         const std::size_t def_index = (b * n_def + d) * n_trial + t;
         const std::string& tuning_str = tuning_strs[d];
         for (std::size_t a = 0; a < n_att; ++a) {
-          CampaignRow& row = report.rows[row0 + a * n_trial];
+          TrialRecord& row = report.rows[row0 + a * n_trial];
           row.benchmark = profile.name;
           row.defense = axis.kind;
           row.defense_tuning = tuning_str;
-          algorithm_for_kind(axis.kind, &row.algorithm);
           row.attack = report.attacks[a];
           row.trial = static_cast<int>(t);
           row.circuit_seed = circuit_seed;
@@ -453,7 +421,7 @@ CampaignReport run_campaign(const CampaignSpec& spec) {
              circuit_index, def_index, row0, n_att, n_trial, axis, d, t,
              def_key, axis_has_attack, axis_has_oracle](JobContext&) {
               const Netlist& original = *circuits[circuit_index];
-              CampaignRow& first = report.rows[row0];
+              TrialRecord& first = report.rows[row0];
               const auto seed_for = [&spec, &first, d, t](int attempt) {
                 return campaign_seed(spec.master_seed, first.benchmark,
                                      kStageSelection, static_cast<int>(d),
@@ -537,7 +505,7 @@ CampaignReport run_campaign(const CampaignSpec& spec) {
               // Fan the shared defense/lint columns out to the group's
               // other attack rows; only `attack` differs at this point.
               for (std::size_t a = 1; a < n_att; ++a) {
-                CampaignRow& row = report.rows[row0 + a * n_trial];
+                TrialRecord& row = report.rows[row0 + a * n_trial];
                 const std::string attack = row.attack;
                 row = first;
                 row.attack = attack;
@@ -555,9 +523,9 @@ CampaignReport run_campaign(const CampaignSpec& spec) {
           row_jobs[row_index] = graph.add(
               "atk/" + label,
               [&spec, &report, &locked, &assets, &progress, &store,
-               &trial_deltas, &key_of, row_index, def_index, b, d, t, a,
+               &trial_deltas, &key_at, row_index, def_index, d, t, a,
                label](JobContext&) {
-                CampaignRow& row = report.rows[row_index];
+                TrialRecord& row = report.rows[row_index];
                 const Timer attack_timer;
                 obs::ScopedCapture capture;
                 if (row.ok && row.attack != "none") {
@@ -590,7 +558,7 @@ CampaignReport run_campaign(const CampaignSpec& spec) {
                 // Record before the failure throw below: failed rows are
                 // results too, and resume must not re-run them.
                 if (store != nullptr) {
-                  store->append_trial(key_of(b, d, a, t), row,
+                  store->append_trial(key_at(row_index), row,
                                       trial_deltas[row_index]);
                 }
                 progress.tick(label);
@@ -609,7 +577,7 @@ CampaignReport run_campaign(const CampaignSpec& spec) {
   // (resumed or unowned) have nothing to collect here.
   for (std::size_t i = 0; i < total_rows; ++i) {
     if (row_jobs[i] == kNoJob) continue;
-    CampaignRow& row = report.rows[i];
+    TrialRecord& row = report.rows[i];
     const JobRecord record = graph.record(row_jobs[i]);
     row.queue_ms = record.queue_ms;
     if (record.state == JobState::kCancelled && row.error.empty()) {
@@ -621,21 +589,11 @@ CampaignReport run_campaign(const CampaignSpec& spec) {
   // Replay resumed rows from the store — after the graph, because a
   // re-running defense job fans its (recomputed, byte-identical) template
   // over the whole group, including rows this process did not own.
-  if (store != nullptr) {
-    for (std::size_t b = 0; b < n_bench; ++b) {
-      for (std::size_t d = 0; d < n_def; ++d) {
-        for (std::size_t a = 0; a < n_att; ++a) {
-          for (std::size_t t = 0; t < n_trial; ++t) {
-            const std::size_t i = flat(b, d, a, t);
-            if (!resumed[i]) continue;
-            const StoredTrial& stored =
-                store->trials().at(key_of(b, d, a, t));
-            report.rows[i] = stored.record;
-            trial_deltas[i] = stored.obs_delta;
-          }
-        }
-      }
-    }
+  for (std::size_t i = 0; i < total_rows; ++i) {
+    if (!resumed[i]) continue;
+    const StoredTrial& stored = store->trials().at(key_at(i));
+    report.rows[i] = stored.record;
+    trial_deltas[i] = stored.obs_delta;
   }
 
   pool.wait_idle();
@@ -691,14 +649,14 @@ CampaignReport run_campaign(const CampaignSpec& spec) {
 
   // A sharded run reports only its owned subset, in grid order.
   if (spec.shard_count > 1) {
-    std::vector<CampaignRow> kept;
+    std::vector<TrialRecord> kept;
     kept.reserve(pending_rows + report.profile.rows_resumed);
     for (std::size_t i = 0; i < total_rows; ++i) {
       if (owned[i]) kept.push_back(std::move(report.rows[i]));
     }
     report.rows = std::move(kept);
   }
-  for (const CampaignRow& row : report.rows) {
+  for (const TrialRecord& row : report.rows) {
     if (!row.ok) ++report.profile.failed_rows;
   }
 

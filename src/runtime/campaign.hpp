@@ -26,7 +26,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/flow.hpp"
 #include "defense/defense.hpp"
 #include "obs/obs.hpp"
 #include "runtime/job.hpp"
@@ -36,9 +35,7 @@ namespace stt {
 
 /// One point on the campaign's defense axis: a `defense::registry()` kind
 /// plus its tuning knobs. The paper's three selection algorithms are
-/// registered defenses ("independent", "dependent", "parametric"), so the
-/// legacy algorithm sweep is the special case of a defense sweep over those
-/// kinds with default tuning.
+/// registered defenses ("independent", "dependent", "parametric").
 struct DefenseAxis {
   std::string kind;
   defense::Tuning tuning;
@@ -52,29 +49,19 @@ std::string tuning_to_string(const defense::Tuning& tuning);
 struct CampaignSpec {
   /// ISCAS'89 profile names; empty = all twelve Table I benchmarks.
   std::vector<std::string> benchmarks;
-  std::vector<SelectionAlgorithm> algorithms = {
-      SelectionAlgorithm::kIndependent, SelectionAlgorithm::kDependent,
-      SelectionAlgorithm::kParametric};
-  /// Defense axis of the grid. Empty = derived from `algorithms` (one
-  /// default-tuned paper-adapter axis point per algorithm), which keeps
-  /// legacy benchmark x algorithm x trial campaigns and their seed
-  /// derivation bit-for-bit unchanged.
+  /// Defense axis of the grid; must not be empty.
   std::vector<DefenseAxis> defenses;
-  /// Attack axis of the grid. Empty = {`attack`}. "none" entries record a
-  /// row without an attack stage; every other entry must be an
-  /// `attack::registry()` name.
-  std::vector<std::string> attacks;
+  /// Attack axis of the grid. "none" records a row without an attack
+  /// stage; every other entry must be an `attack::registry()` name. Every
+  /// attack is deterministic for a fixed seed — the campaign disables
+  /// wall-clock limits and caps the SAT attack by conflict budget instead,
+  /// so attack columns stay inside the byte-identical result rows
+  /// regardless of machine load or --jobs.
+  std::vector<std::string> attacks = {"none"};
   int trials = 1;
   std::uint64_t master_seed = 20160605;  ///< the repo's Table I/II seed
   unsigned jobs = 1;                     ///< worker threads (0 = hardware)
   int max_attempts = 3;                  ///< seed-backoff retry bound
-  /// Optional oracle-based attack stage appended to every grid point:
-  /// "none" or any `attack::registry()` name ("sat", "seq", "sens",
-  /// "gsens", "bf", "ml", "dpa"). Every attack is deterministic for a
-  /// fixed seed — the campaign disables wall-clock limits and caps the SAT
-  /// attack by conflict budget instead, so attack columns stay inside the
-  /// byte-identical result rows regardless of machine load or --jobs.
-  std::string attack = "none";
   double activity = 0.10;       ///< power sign-off switching activity
   double timing_margin = 0.05;  ///< parametric timing margin
   /// Run `sttlock lint` (structural + static security audit, src/verify)
@@ -107,24 +94,17 @@ struct CampaignSpec {
   unsigned shard_count = 1;
 };
 
-/// One grid point's outcome — the typed TrialRecord (record.hpp), which the
-/// CSV/JSON writers, the summary, and the result store all consume. The
-/// legacy name survives as an alias so existing consumers compile
-/// unchanged.
-using CampaignRow = TrialRecord;
-
 struct CampaignReport {
   std::vector<std::string> benchmarks;  ///< resolved benchmark list
-  std::vector<SelectionAlgorithm> algorithms;
-  std::vector<DefenseAxis> defenses;  ///< resolved defense axis
-  std::vector<std::string> attacks;   ///< resolved attack axis
+  std::vector<DefenseAxis> defenses;
+  std::vector<std::string> attacks;
   int trials = 1;
   std::uint64_t master_seed = 0;
-  std::string attack = "none";  ///< attack axis joined with ","
 
-  /// Grid order: benchmark-major, then defense, then attack, then trial —
-  /// independent of execution interleaving.
-  std::vector<CampaignRow> rows;
+  /// One TrialRecord (record.hpp) per grid point, in grid order:
+  /// benchmark-major, then defense, then attack, then trial — independent
+  /// of execution interleaving.
+  std::vector<TrialRecord> rows;
 
   /// Stable-metrics block: the sum of the per-stage deltas captured by
   /// `obs::ScopedCapture` around every circuit-generation, defense, and
@@ -168,11 +148,12 @@ struct CampaignReport {
 
 /// Seed derivation for every stochastic stage of a grid point. `stage`
 /// namespaces independent streams of the same grid point (circuit
-/// generation vs selection vs attack); `attempt` implements the retry
-/// backoff-in-seed policy.
+/// generation vs selection vs attack); `defense_index` is the grid point's
+/// position on the defense axis (-1 for per-circuit stages); `attempt`
+/// implements the retry backoff-in-seed policy.
 std::uint64_t campaign_seed(std::uint64_t master_seed,
                             std::string_view benchmark, int stage,
-                            int algorithm_index, int trial, int attempt);
+                            int defense_index, int trial, int attempt);
 
 /// Retry helper: calls `body(seed_for(attempt), attempt)` until it returns
 /// without throwing or `max_attempts` is exhausted.
@@ -187,8 +168,8 @@ RetryOutcome run_with_seed_backoff(
 
 /// Expand the grid, run it, aggregate. Throws std::invalid_argument before
 /// any job starts on an unknown benchmark name, an unknown defense kind or
-/// tuning key, an unknown attack name, or an empty grid — the message lists
-/// the valid kinds.
+/// tuning key, an unknown attack name, or an empty grid (no defense, attack
+/// or trial) — the message lists the valid kinds.
 CampaignReport run_campaign(const CampaignSpec& spec);
 
 }  // namespace stt

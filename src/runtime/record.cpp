@@ -16,6 +16,18 @@ std::string fmt4(double v) { return strformat("%.4f", v); }
 // CSV byte format, not a rendering default.
 using R = const TrialRecord&;
 
+std::string cell(const std::string& v) { return v; }
+std::string cell(double v) { return fmt4(v); }
+template <typename T>
+std::string cell(T v) {
+  return std::to_string(v);
+}
+/// The cell of a lint/attack column: blank unless its stage `ran`.
+template <typename T>
+std::string if_ran(bool ran, const T& v) {
+  return ran ? cell(v) : std::string();
+}
+
 }  // namespace
 
 std::string trial_status(const TrialRecord& record) {
@@ -23,9 +35,9 @@ std::string trial_status(const TrialRecord& record) {
 }
 
 std::span<const TrialCsvField> trial_csv_fields() {
-  // "algorithm" is the defense kind: the paper's three selection algorithms
-  // are registered defenses of the same name, so legacy campaigns render
-  // unchanged while the column covers the whole defense axis.
+  // The "algorithm" column holds the defense kind: the paper's three
+  // selection algorithms are registered defenses of the same name, and the
+  // column name is part of the pinned CSV bytes.
   static const std::array<TrialCsvField, 43> kFields = {{
       {"benchmark", [](R r) { return r.benchmark; }},
       {"algorithm", [](R r) { return r.defense; }},
@@ -55,27 +67,16 @@ std::span<const TrialCsvField> trial_csv_fields() {
       {"cells_replaced",
        [](R r) { return std::to_string(r.cells_replaced); }},
       {"lint", [](R r) { return r.lint_ran ? r.lint_verdict : ""; }},
-      {"lint_errors",
-       [](R r) {
-         return r.lint_ran ? std::to_string(r.lint_errors) : std::string();
-       }},
+      {"lint_errors", [](R r) { return if_ran(r.lint_ran, r.lint_errors); }},
       {"lint_warnings",
-       [](R r) {
-         return r.lint_ran ? std::to_string(r.lint_warnings) : std::string();
-       }},
+       [](R r) { return if_ran(r.lint_ran, r.lint_warnings); }},
       {"audit_log10_drop",
-       [](R r) { return r.lint_ran ? fmt4(r.audit_log10_drop) : std::string(); }},
+       [](R r) { return if_ran(r.lint_ran, r.audit_log10_drop); }},
       {"key_bits_static",
-       [](R r) {
-         return r.lint_ran ? std::to_string(r.key_bits_static)
-                           : std::string();
-       }},
-      {"eff_key_bits",
-       [](R r) {
-         return r.lint_ran ? std::to_string(r.eff_key_bits) : std::string();
-       }},
+       [](R r) { return if_ran(r.lint_ran, r.key_bits_static); }},
+      {"eff_key_bits", [](R r) { return if_ran(r.lint_ran, r.eff_key_bits); }},
       {"analyze_verdict",
-       [](R r) { return r.lint_ran ? r.analyze_verdict : std::string(); }},
+       [](R r) { return if_ran(r.lint_ran, r.analyze_verdict); }},
       {"attack", [](R r) { return r.attack_ran ? r.attack : "none"; }},
       {"attack_success",
        [](R r) {
@@ -83,158 +84,90 @@ std::span<const TrialCsvField> trial_csv_fields() {
                              : std::string();
        }},
       {"attack_outcome",
-       [](R r) { return r.attack_ran ? r.attack_outcome : std::string(); }},
+       [](R r) { return if_ran(r.attack_ran, r.attack_outcome); }},
       {"attack_queries",
-       [](R r) {
-         return r.attack_ran ? std::to_string(r.attack_queries)
-                             : std::string();
-       }},
+       [](R r) { return if_ran(r.attack_ran, r.attack_queries); }},
       {"attack_iters",
-       [](R r) {
-         return r.attack_ran ? std::to_string(r.attack_iterations)
-                             : std::string();
-       }},
+       [](R r) { return if_ran(r.attack_ran, r.attack_iterations); }},
       {"attack_conflicts",
-       [](R r) {
-         return r.attack_ran ? std::to_string(r.attack_conflicts)
-                             : std::string();
-       }},
+       [](R r) { return if_ran(r.attack_ran, r.attack_conflicts); }},
       {"attack_decisions",
-       [](R r) {
-         return r.attack_ran ? std::to_string(r.attack_decisions)
-                             : std::string();
-       }},
+       [](R r) { return if_ran(r.attack_ran, r.attack_decisions); }},
       {"attack_propagations",
-       [](R r) {
-         return r.attack_ran ? std::to_string(r.attack_propagations)
-                             : std::string();
-       }},
+       [](R r) { return if_ran(r.attack_ran, r.attack_propagations); }},
       {"attack_learned",
-       [](R r) {
-         return r.attack_ran ? std::to_string(r.attack_learned)
-                             : std::string();
-       }},
+       [](R r) { return if_ran(r.attack_ran, r.attack_learned); }},
       {"attack_peak_clauses",
-       [](R r) {
-         return r.attack_ran ? std::to_string(r.attack_peak_clauses)
-                             : std::string();
-       }},
+       [](R r) { return if_ran(r.attack_ran, r.attack_peak_clauses); }},
       {"attack_cnf_per_iter",
-       [](R r) {
-         return r.attack_ran ? fmt4(r.attack_cnf_per_iter) : std::string();
-       }},
+       [](R r) { return if_ran(r.attack_ran, r.attack_cnf_per_iter); }},
       {"error", [](R r) { return r.error; }},
   }};
   return kFields;
 }
 
+namespace {
+
+// The codec's wire types, chosen by each field's C++ type. The deleted
+// catch-all turns a field of any other type into a compile error.
+struct FieldWriter {
+  WireWriter& w;
+  void operator()(const std::string& v) { w.str(v); }
+  void operator()(bool v) { w.b(v); }
+  void operator()(int v) { w.i32(v); }
+  void operator()(std::int64_t v) { w.i64(v); }
+  void operator()(std::uint64_t v) { w.u64(v); }
+  void operator()(double v) { w.f64(v); }
+  template <typename T>
+  void operator()(const T&) = delete;
+};
+
+struct FieldReader {
+  WireReader& r;
+  void operator()(std::string& v) { v = r.str(); }
+  void operator()(bool& v) { v = r.b(); }
+  void operator()(int& v) { v = r.i32(); }
+  void operator()(std::int64_t& v) { v = r.i64(); }
+  void operator()(std::uint64_t& v) { v = r.u64(); }
+  void operator()(double& v) { v = r.f64(); }
+};
+
+/// Every TrialRecord field in wire order — the one list both directions of
+/// the codec walk, so encode and decode cannot drift apart.
+template <typename Io, typename Record>
+void wire_fields(Io io, Record& r) {
+  // Identity and status.
+  io(r.benchmark); io(r.defense); io(r.defense_tuning); io(r.attack);
+  io(r.trial); io(r.circuit_seed); io(r.selection_seed); io(r.attempts);
+  io(r.ok); io(r.error);
+  // Flow metrics and key accounting.
+  io(r.num_luts); io(r.key_cells); io(r.key_bits); io(r.cells_added);
+  io(r.cells_replaced); io(r.perf_pct); io(r.power_pct); io(r.area_pct);
+  io(r.original_delay_ps); io(r.hybrid_delay_ps);
+  io(r.n_indep); io(r.n_dep); io(r.n_bf);
+  io(r.paths_considered); io(r.timing_retries); io(r.usl_replacements);
+  // Lint stage.
+  io(r.lint_ran); io(r.lint_verdict); io(r.lint_errors); io(r.lint_warnings);
+  io(r.lint_infos); io(r.audit_log10_drop); io(r.key_bits_static);
+  io(r.eff_key_bits); io(r.analyze_verdict);
+  // Attack stage.
+  io(r.attack_ran); io(r.attack_success); io(r.attack_outcome);
+  io(r.attack_detail); io(r.attack_queries); io(r.attack_iterations);
+  io(r.attack_conflicts); io(r.attack_decisions); io(r.attack_propagations);
+  io(r.attack_learned); io(r.attack_peak_clauses); io(r.attack_cnf_per_iter);
+  // Measured block.
+  io(r.selection_ms); io(r.flow_ms); io(r.queue_ms);
+}
+
+}  // namespace
+
 void encode_trial_record(WireWriter& w, const TrialRecord& r) {
-  w.str(r.benchmark);
-  w.str(r.defense);
-  w.str(r.defense_tuning);
-  w.u8(static_cast<std::uint8_t>(r.algorithm));
-  w.str(r.attack);
-  w.i32(r.trial);
-  w.u64(r.circuit_seed);
-  w.u64(r.selection_seed);
-  w.i32(r.attempts);
-  w.b(r.ok);
-  w.str(r.error);
-  w.i32(r.num_luts);
-  w.i32(r.key_cells);
-  w.i32(r.key_bits);
-  w.i32(r.cells_added);
-  w.i32(r.cells_replaced);
-  w.f64(r.perf_pct);
-  w.f64(r.power_pct);
-  w.f64(r.area_pct);
-  w.f64(r.original_delay_ps);
-  w.f64(r.hybrid_delay_ps);
-  w.str(r.n_indep);
-  w.str(r.n_dep);
-  w.str(r.n_bf);
-  w.i32(r.paths_considered);
-  w.i32(r.timing_retries);
-  w.i32(r.usl_replacements);
-  w.b(r.lint_ran);
-  w.str(r.lint_verdict);
-  w.i32(r.lint_errors);
-  w.i32(r.lint_warnings);
-  w.i32(r.lint_infos);
-  w.f64(r.audit_log10_drop);
-  w.i32(r.key_bits_static);
-  w.i32(r.eff_key_bits);
-  w.str(r.analyze_verdict);
-  w.b(r.attack_ran);
-  w.b(r.attack_success);
-  w.str(r.attack_outcome);
-  w.str(r.attack_detail);
-  w.u64(r.attack_queries);
-  w.u64(r.attack_iterations);
-  w.i64(r.attack_conflicts);
-  w.i64(r.attack_decisions);
-  w.i64(r.attack_propagations);
-  w.i64(r.attack_learned);
-  w.i64(r.attack_peak_clauses);
-  w.f64(r.attack_cnf_per_iter);
-  w.f64(r.selection_ms);
-  w.f64(r.flow_ms);
-  w.f64(r.queue_ms);
+  wire_fields(FieldWriter{w}, r);
 }
 
 TrialRecord decode_trial_record(WireReader& r) {
   TrialRecord t;
-  t.benchmark = r.str();
-  t.defense = r.str();
-  t.defense_tuning = r.str();
-  t.algorithm = static_cast<SelectionAlgorithm>(r.u8());
-  t.attack = r.str();
-  t.trial = r.i32();
-  t.circuit_seed = r.u64();
-  t.selection_seed = r.u64();
-  t.attempts = r.i32();
-  t.ok = r.b();
-  t.error = r.str();
-  t.num_luts = r.i32();
-  t.key_cells = r.i32();
-  t.key_bits = r.i32();
-  t.cells_added = r.i32();
-  t.cells_replaced = r.i32();
-  t.perf_pct = r.f64();
-  t.power_pct = r.f64();
-  t.area_pct = r.f64();
-  t.original_delay_ps = r.f64();
-  t.hybrid_delay_ps = r.f64();
-  t.n_indep = r.str();
-  t.n_dep = r.str();
-  t.n_bf = r.str();
-  t.paths_considered = r.i32();
-  t.timing_retries = r.i32();
-  t.usl_replacements = r.i32();
-  t.lint_ran = r.b();
-  t.lint_verdict = r.str();
-  t.lint_errors = r.i32();
-  t.lint_warnings = r.i32();
-  t.lint_infos = r.i32();
-  t.audit_log10_drop = r.f64();
-  t.key_bits_static = r.i32();
-  t.eff_key_bits = r.i32();
-  t.analyze_verdict = r.str();
-  t.attack_ran = r.b();
-  t.attack_success = r.b();
-  t.attack_outcome = r.str();
-  t.attack_detail = r.str();
-  t.attack_queries = r.u64();
-  t.attack_iterations = r.u64();
-  t.attack_conflicts = r.i64();
-  t.attack_decisions = r.i64();
-  t.attack_propagations = r.i64();
-  t.attack_learned = r.i64();
-  t.attack_peak_clauses = r.i64();
-  t.attack_cnf_per_iter = r.f64();
-  t.selection_ms = r.f64();
-  t.flow_ms = r.f64();
-  t.queue_ms = r.f64();
+  wire_fields(FieldReader{r}, t);
   return t;
 }
 

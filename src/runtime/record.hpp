@@ -6,17 +6,11 @@
 // the store serializes records with the binary codec below instead of
 // re-parsing formatted rows, and the CSV writer walks `trial_csv_fields()`
 // so the column set, order, and formatting are declared exactly once.
-//
-// `CampaignRow` (campaign.hpp) is an alias of this type: the campaign
-// driver fills TrialRecords in place, so legacy consumers compile
-// unchanged while the store/merge machinery gets a real record type.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <string>
-
-#include "core/flow.hpp"
 
 namespace stt {
 
@@ -28,11 +22,9 @@ class WireReader;
 struct TrialRecord {
   std::string benchmark;
   /// Defense axis point: registry kind and its "k=v;k=v" tuning rendering
-  /// (empty = defaults). For paper adapters `algorithm` mirrors the kind so
-  /// legacy consumers keep working; for other defenses it is meaningless.
+  /// (empty = defaults).
   std::string defense;
   std::string defense_tuning;
-  SelectionAlgorithm algorithm = SelectionAlgorithm::kIndependent;
   /// Attack axis point ("none" = no attack stage on this row).
   std::string attack = "none";
   int trial = 0;
@@ -77,7 +69,7 @@ struct TrialRecord {
   int eff_key_bits = 0;
   std::string analyze_verdict;  ///< empty | broken | degraded | secure
 
-  // Attack stage (when spec.attack != "none"), filled from the registry's
+  // Attack stage (when `attack` is not "none"), filled from the registry's
   // UnifiedResult. The solver-telemetry block below is zero for the
   // non-SAT attacks; for "sat" it mirrors SatAttackStats
   // (canonical-member counts, deterministic across --jobs).

@@ -62,10 +62,10 @@ std::string campaign_results_csv(const CampaignReport& report) {
 }
 
 std::string campaign_timing_csv(const CampaignReport& report) {
-  TextTable table({"benchmark", "algorithm", "trial", "selection_mmss",
-                   "selection_ms", "flow_ms", "queue_ms"});
-  for (const CampaignRow& row : report.rows) {
-    table.add_row({row.benchmark, row.defense,
+  TextTable table({"benchmark", "defense", "defense_tuning", "attack", "trial",
+                   "selection_mmss", "selection_ms", "flow_ms", "queue_ms"});
+  for (const TrialRecord& row : report.rows) {
+    table.add_row({row.benchmark, row.defense, row.defense_tuning, row.attack,
                    std::to_string(row.trial),
                    Timer::format_mmss(row.selection_ms / 1e3),
                    strformat("%.1f", row.selection_ms),
@@ -78,7 +78,7 @@ std::string campaign_timing_csv(const CampaignReport& report) {
 std::vector<DefenseSummary> summarize_by_defense(
     const CampaignReport& report) {
   std::vector<DefenseSummary> summaries;
-  for (const CampaignRow& row : report.rows) {
+  for (const TrialRecord& row : report.rows) {
     DefenseSummary* summary = nullptr;
     for (DefenseSummary& s : summaries) {
       if (s.defense == row.defense && s.tuning == row.defense_tuning) {
@@ -134,10 +134,14 @@ std::string campaign_json(const CampaignReport& report, bool include_profile) {
   out += strformat("  \"master_seed\": %llu,\n",
                    static_cast<unsigned long long>(report.master_seed));
   out += strformat("  \"trials\": %d,\n", report.trials);
-  out += "  \"attack\": \"" + json_escape(report.attack) + "\",\n";
+  std::string attacks;
+  for (const std::string& attack : report.attacks) {
+    attacks += attacks.empty() ? attack : "," + attack;
+  }
+  out += "  \"attack\": \"" + json_escape(attacks) + "\",\n";
   out += "  \"results\": [\n";
   for (std::size_t i = 0; i < report.rows.size(); ++i) {
-    const CampaignRow& row = report.rows[i];
+    const TrialRecord& row = report.rows[i];
     out += "    {";
     out += "\"benchmark\": \"" + json_escape(row.benchmark) + "\", ";
     out += "\"algorithm\": \"" + json_escape(row.defense) + "\", ";

@@ -24,13 +24,13 @@ namespace stt {
 /// Deterministic per-grid-point result rows (RFC 4180 CSV, header first).
 std::string campaign_results_csv(const CampaignReport& report);
 
-/// Measured per-grid-point timings: selection CPU time in the paper's
+/// Measured per-grid-point timings keyed by the full grid key (benchmark,
+/// defense, tuning, attack, trial): selection CPU time in the paper's
 /// MM:SS.t style and milliseconds, whole-flow and queue latency.
 std::string campaign_timing_csv(const CampaignReport& report);
 
 /// Per-defense-axis-point aggregates over the successful rows, in first-
-/// appearance (grid) order. For legacy algorithm sweeps the axis points are
-/// the paper adapters, so this is the old per-algorithm summary.
+/// appearance (grid) order.
 struct DefenseSummary {
   std::string defense;
   std::string tuning;  ///< "k=v;k=v" rendering, empty = defaults

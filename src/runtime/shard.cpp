@@ -112,10 +112,6 @@ CampaignReport merge_stores(const std::vector<std::string>& paths,
   report.attacks = grid.attacks;
   report.trials = grid.trials;
   report.master_seed = grid.master_seed;
-  report.attack.clear();
-  for (const std::string& attack : grid.attacks) {
-    report.attack += report.attack.empty() ? attack : "," + attack;
-  }
 
   // Rows in grid order, independent of which store held which shard.
   report.rows.reserve(grid.rows());
@@ -149,7 +145,7 @@ CampaignReport merge_stores(const std::vector<std::string>& paths,
   for (const auto& [key, t] : trials) obs::snapshot_merge(report.obs, t.obs_delta);
 
   report.profile.rows_resumed = report.rows.size();
-  for (const CampaignRow& row : report.rows) {
+  for (const TrialRecord& row : report.rows) {
     if (!row.ok) ++report.profile.failed_rows;
   }
 

@@ -18,8 +18,10 @@ namespace stt {
 
 namespace {
 
-// 8-byte file magic; the trailing digit is the format version.
-constexpr char kMagic[] = "STTSTOR1";
+// 8-byte file magic; the trailing digit is the format version. Version 2
+// trial records dropped the legacy selection-algorithm byte, so a version-1
+// store fails the magic check instead of misdecoding.
+constexpr char kMagic[] = "STTSTOR2";
 constexpr std::size_t kMagicLen = 8;
 
 constexpr std::uint8_t kRecSpec = 0;

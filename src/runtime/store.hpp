@@ -47,8 +47,7 @@ class WireWriter;
 class WireReader;
 
 /// The resolved campaign grid: every axis written out post-resolution
-/// (benchmarks expanded, defense axis derived from the algorithm list when
-/// empty, attack axis defaulted) plus the knobs that alter per-row results.
+/// (benchmarks expanded) plus the knobs that alter per-row results.
 /// Its canonical wire encoding is the store's spec fingerprint: two
 /// campaigns may share a store (resume) or have their stores merged only if
 /// the encodings are byte-identical. Scheduling knobs (--jobs, shard

@@ -18,6 +18,9 @@ void ArgParser::add_flag(const std::string& name, const std::string& doc) {
 }
 
 void ArgParser::parse(const std::vector<std::string>& args) {
+  for (const std::string& arg : args) {
+    if (arg == "--help") throw HelpRequested(help());
+  }
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
     if (!starts_with(arg, "--")) {

@@ -2,7 +2,8 @@
 //
 // Supports `--name value`, `--name=value`, boolean `--flag`, and positional
 // arguments. Unknown options raise; every option must be declared first so
-// typos fail loudly.
+// typos fail loudly. `--help` anywhere in the arguments raises HelpRequested
+// carrying help(), so every command answers it the same way.
 #pragma once
 
 #include <cstdint>
@@ -10,12 +11,21 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace stt {
 
 struct ArgError : std::runtime_error {
   explicit ArgError(const std::string& msg) : std::runtime_error(msg) {}
+};
+
+/// Thrown by ArgParser::parse when the arguments contain `--help`. Callers
+/// that only handle ArgError still print the options and stop.
+struct HelpRequested : ArgError {
+  explicit HelpRequested(std::string help_text)
+      : ArgError("--help requested"), text(std::move(help_text)) {}
+  std::string text;  ///< ArgParser::help() of the parser that saw --help
 };
 
 class ArgParser {
@@ -27,6 +37,7 @@ class ArgParser {
   void add_flag(const std::string& name, const std::string& doc);
 
   /// Parse argv-style input (not including the program/subcommand name).
+  /// Throws HelpRequested if any argument is `--help`.
   void parse(const std::vector<std::string>& args);
 
   bool has(const std::string& name) const;

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "attack/brute_force.hpp"
@@ -85,38 +87,73 @@ TEST(AttackRegistry, UnknownTuningKeyThrows) {
                std::invalid_argument);
 }
 
-TEST(AttackRegistry, SatRejectsBadTuningValuesByName) {
-  const std::pair<const char*, const char*> bad[] = {
-      {"max_iterations", "abc"}, {"max_iterations", "0"},
-      {"max_iterations", "12x"}, {"warmup_words", "-3"},
-      {"warmup_words", ""}};
-  for (const auto& [key, value] : bad) {
+TEST(AttackRegistry, RejectsBadTuningValuesByName) {
+  const std::tuple<std::string, std::string, std::string> bad[] = {
+      {"sat", "max_iterations", "abc"},  {"sat", "max_iterations", "0"},
+      {"sat", "max_iterations", "12x"},  {"sat", "warmup_words", "-3"},
+      {"sat", "warmup_words", ""},       {"seq", "frames", "abc"},
+      {"seq", "frames", "0"},            {"seq", "max_iterations", "0"},
+      {"bf", "screening_patterns", "0"}, {"bf", "screening_patterns", "1e3"},
+      {"ml", "training_patterns", "-5"}, {"dpa", "cycles", "0"},
+      {"gsens", "max_witnesses_per_row", "0"},
+      {"dpa", "noise_fj", "-0.5"},       {"dpa", "noise_fj", "nan"},
+      {"dpa", "noise_fj", "1fJ"}};
+  for (const auto& [name, key, value] : bad) {
     try {
-      attack::registry().run("sat", locked().view, locked().hybrid, {},
+      attack::registry().run(name, locked().view, locked().hybrid, {},
                              {{key, value}});
-      ADD_FAILURE() << key << "=" << value << " was accepted";
+      ADD_FAILURE() << name << " " << key << "=" << value << " was accepted";
     } catch (const std::invalid_argument& e) {
       const std::string msg = e.what();
-      EXPECT_NE(msg.find("\"sat\""), std::string::npos) << msg;
+      EXPECT_NE(msg.find("\"" + name + "\""), std::string::npos) << msg;
       EXPECT_NE(msg.find(key), std::string::npos) << msg;
-      EXPECT_NE(msg.find("\"" + std::string(value) + "\""), std::string::npos)
-          << msg;
+      EXPECT_NE(msg.find("\"" + value + "\""), std::string::npos) << msg;
     }
   }
 }
 
-TEST(AttackRegistry, SatCatalogueDefaultsMatchOptions) {
-  const SatAttackOptions defaults;
-  std::map<std::string, std::string> listed;
-  for (const attack::AttackKnob& knob : attack::registry().info("sat").knobs) {
-    listed[knob.key] = knob.default_value;
+TEST(AttackRegistry, CatalogueDefaultsMatchOptions) {
+  using Knobs = std::map<std::string, std::string>;
+  const auto num = [](auto v) {  // bool renders as 1/0
+    std::ostringstream os;
+    os << v;
+    return os.str();
+  };
+  const SatAttackOptions sat;
+  const SeqAttackOptions seq;
+  const BruteForceOptions bf;
+  const MlAttackOptions ml;
+  const GuidedSensOptions gsens;
+  const TraceOptions trace;
+  const std::map<std::string, Knobs> expected = {
+      {"sat",
+       {{"naive", num(!sat.cone_pruning)},
+        {"max_iterations", num(sat.max_iterations)},
+        {"warmup_words", num(sat.warmup_words)}}},
+      {"seq",
+       {{"frames", num(seq.frames)},
+        {"max_iterations", num(seq.max_iterations)}}},
+      {"bf",
+       {{"screening_patterns", num(bf.screening_patterns)},
+        {"all_masks", num(!bf.standard_candidates_only)}}},
+      {"ml",
+       {{"training_patterns", num(ml.training_patterns)},
+        {"bitflip", num(!ml.standard_candidates_only)}}},
+      {"gsens", {{"max_witnesses_per_row", num(gsens.max_witnesses_per_row)}}},
+      {"dpa",
+       {{"cycles", num(trace.cycles)},
+        {"noise_fj", num(trace.noise_sigma_fj)},
+        {"target", "<first LUT>"}}},
+      {"sens", {}},
+      {"static", {}}};
+  std::map<std::string, Knobs> listed;
+  for (const attack::AttackInfo& info : attack::registry().catalogue()) {
+    Knobs& knobs = listed[info.name];
+    for (const attack::AttackKnob& knob : info.knobs) {
+      knobs[knob.key] = knob.default_value;
+    }
   }
-  EXPECT_EQ(listed, (std::map<std::string, std::string>{
-                        {"naive", defaults.cone_pruning ? "0" : "1"},
-                        {"max_iterations",
-                         std::to_string(defaults.max_iterations)},
-                        {"warmup_words",
-                         std::to_string(defaults.warmup_words)}}));
+  EXPECT_EQ(listed, expected);
 }
 
 TEST(AttackRegistry, SatMatchesDirectCall) {

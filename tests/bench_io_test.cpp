@@ -50,6 +50,23 @@ TEST(BenchReader, DuplicateDefinitionFails) {
   }
 }
 
+TEST(BenchReader, CombinationalCycleNamesACellAndItsLine) {
+  // b and c form the cycle; d only hangs off it, so it must not be named.
+  const std::string text =
+      "INPUT(a)\nOUTPUT(d)\nb = AND(a, c)\nc = NOT(b)\nd = NOT(c)\n";
+  try {
+    read_bench(text, "loop");
+    FAIL() << "expected BenchParseError";
+  } catch (const BenchParseError& e) {
+    const std::string msg = e.message;
+    const bool names_b = msg.find("'b'") != std::string::npos;
+    const bool names_c = msg.find("'c'") != std::string::npos;
+    EXPECT_TRUE(names_b != names_c) << msg;
+    EXPECT_NE(msg.find("combinational cycle"), std::string::npos) << msg;
+    EXPECT_EQ(e.line, names_b ? 3 : 4) << msg;
+  }
+}
+
 TEST(BenchReader, UnknownOperatorFails) {
   EXPECT_THROW(read_bench("INPUT(a)\nb = FROB(a)\n"), BenchParseError);
 }

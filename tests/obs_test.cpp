@@ -195,10 +195,9 @@ TEST(ObsTrace, DisabledBuildCompilesSpanMacroToNothing) {
 TEST(ObsCampaign, StableMetricsDeltaIdenticalAcrossJobs) {
   CampaignSpec spec;
   spec.benchmarks = {"s641"};
-  spec.algorithms = {SelectionAlgorithm::kIndependent,
-                     SelectionAlgorithm::kDependent};
+  spec.defenses = {{"independent", {}}, {"dependent", {}}};
   spec.trials = 2;
-  spec.attack = "sat";
+  spec.attacks = {"sat"};
   spec.lint = false;
 
   spec.jobs = 1;

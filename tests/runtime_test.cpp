@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "runtime/report.hpp"
 #include "runtime/thread_pool.hpp"
 #include "util/stats.hpp"
+#include "util/strings.hpp"
 
 namespace stt {
 namespace {
@@ -163,7 +165,7 @@ TEST(CampaignSeedTest, DistinguishesEveryCoordinate) {
   EXPECT_NE(base, campaign_seed(2, "s641", 1, 0, 0, 0));   // master
   EXPECT_NE(base, campaign_seed(1, "s1238", 1, 0, 0, 0));  // benchmark
   EXPECT_NE(base, campaign_seed(1, "s641", 0, 0, 0, 0));   // stage
-  EXPECT_NE(base, campaign_seed(1, "s641", 1, 1, 0, 0));   // algorithm
+  EXPECT_NE(base, campaign_seed(1, "s641", 1, 1, 0, 0));   // defense
   EXPECT_NE(base, campaign_seed(1, "s641", 1, 0, 1, 0));   // trial
   EXPECT_NE(base, campaign_seed(1, "s641", 1, 0, 0, 1));   // attempt
   // Stable across calls and processes (pure function of its inputs).
@@ -230,8 +232,7 @@ TEST(ShardedAccumulatorTest, CombinesAcrossThreads) {
 CampaignSpec small_spec(unsigned jobs) {
   CampaignSpec spec;
   spec.benchmarks = {"s641", "s820"};  // the two smallest Table I circuits
-  spec.algorithms = {SelectionAlgorithm::kIndependent,
-                     SelectionAlgorithm::kParametric};
+  spec.defenses = {{"independent", {}}, {"parametric", {}}};
   spec.trials = 2;
   spec.jobs = jobs;
   return spec;
@@ -248,7 +249,7 @@ TEST(CampaignTest, ParallelRunIsByteIdenticalToSerial) {
   EXPECT_EQ(campaign_json(serial, /*include_profile=*/false),
             campaign_json(parallel, /*include_profile=*/false));
   EXPECT_EQ(parallel.profile.threads, 8u);
-  for (const CampaignRow& row : serial.rows) {
+  for (const TrialRecord& row : serial.rows) {
     EXPECT_TRUE(row.ok) << row.benchmark << ": " << row.error;
     EXPECT_GT(row.num_luts, 0);
   }
@@ -256,13 +257,12 @@ TEST(CampaignTest, ParallelRunIsByteIdenticalToSerial) {
 
 TEST(CampaignTest, TrialsGetDistinctSeeds) {
   const CampaignReport report = run_campaign(small_spec(2));
-  // Same benchmark+algorithm, different trials -> different seeds and
+  // Same benchmark+defense, different trials -> different seeds and
   // (with overwhelming probability) different selections.
-  const CampaignRow* t0 = nullptr;
-  const CampaignRow* t1 = nullptr;
-  for (const CampaignRow& row : report.rows) {
-    if (row.benchmark == "s641" &&
-        row.algorithm == SelectionAlgorithm::kParametric) {
+  const TrialRecord* t0 = nullptr;
+  const TrialRecord* t1 = nullptr;
+  for (const TrialRecord& row : report.rows) {
+    if (row.benchmark == "s641" && row.defense == "parametric") {
       (row.trial == 0 ? t0 : t1) = &row;
     }
   }
@@ -309,7 +309,7 @@ TEST(CampaignTest, DefenseAttackMatrixIsByteIdenticalAcrossJobs) {
   EXPECT_EQ(campaign_results_csv(serial), campaign_results_csv(parallel));
   EXPECT_EQ(campaign_json(serial, /*include_profile=*/false),
             campaign_json(parallel, /*include_profile=*/false));
-  for (const CampaignRow& row : serial.rows) {
+  for (const TrialRecord& row : serial.rows) {
     EXPECT_TRUE(row.ok) << row.defense << ": " << row.error;
     EXPECT_GT(row.key_cells, 0);
     EXPECT_GT(row.key_bits, 0);
@@ -323,8 +323,8 @@ TEST(CampaignTest, DefenseAttackMatrixIsByteIdenticalAcrossJobs) {
       EXPECT_FALSE(row.attack_ran);
     }
   }
-  // The results CSV carries the defense axis in the legacy algorithm
-  // column plus the new accounting columns.
+  // The results CSV carries the defense kind in its "algorithm" column
+  // plus the accounting columns.
   const std::string csv = campaign_results_csv(serial);
   EXPECT_NE(csv.find("defense_tuning"), std::string::npos);
   EXPECT_NE(csv.find("key_bits"), std::string::npos);
@@ -359,10 +359,17 @@ TEST(CampaignTest, UnknownDefenseAttackOrTuningThrowsWithKnownKinds) {
   CampaignSpec bad_tuning = small_spec(1);
   bad_tuning.defenses = {{"xor", {{"zap", "1"}}}};
   EXPECT_THROW(run_campaign(bad_tuning), std::invalid_argument);
+
+  CampaignSpec no_defense = small_spec(1);
+  no_defense.defenses.clear();
+  EXPECT_THROW(run_campaign(no_defense), std::invalid_argument);
 }
 
 TEST(CampaignReportTest, CsvShapesAreConsistent) {
-  const CampaignReport report = run_campaign(small_spec(2));
+  CampaignSpec spec = small_spec(2);
+  spec.benchmarks = {"s641"};
+  spec.attacks = {"sat", "static"};
+  const CampaignReport report = run_campaign(spec);
   const std::string results = campaign_results_csv(report);
   const std::string timing = campaign_timing_csv(report);
   // header + one line per row, newline-terminated
@@ -372,6 +379,18 @@ TEST(CampaignReportTest, CsvShapesAreConsistent) {
   EXPECT_EQ(lines(results), report.rows.size() + 1);
   EXPECT_EQ(lines(timing), report.rows.size() + 1);
   EXPECT_NE(results.find("benchmark"), std::string::npos);
+  // The timing view is keyed by the full grid key (header included), so a
+  // group's sat and static rows are told apart.
+  EXPECT_EQ(timing.rfind("benchmark,defense,defense_tuning,attack,trial,", 0),
+            0u);
+  std::set<std::string> keys;
+  for (const std::string& line : split(timing, '\n')) {
+    const std::vector<std::string> cells = split(line, ',');
+    if (cells.size() < 5) continue;  // the trailing empty line
+    keys.insert(cells[0] + "," + cells[1] + "," + cells[2] + "," + cells[3] +
+                "," + cells[4]);
+  }
+  EXPECT_EQ(keys.size(), report.rows.size() + 1);
   const std::string summary = campaign_summary_text(report);
   EXPECT_NE(summary.find("independent"), std::string::npos);
   EXPECT_NE(summary.find("parametric"), std::string::npos);

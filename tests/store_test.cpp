@@ -55,8 +55,7 @@ void append_bytes(const std::filesystem::path& path, const std::string& b) {
 CampaignSpec small_spec() {
   CampaignSpec spec;
   spec.benchmarks = {"s641", "s1238"};
-  spec.algorithms = {SelectionAlgorithm::kIndependent,
-                     SelectionAlgorithm::kParametric};
+  spec.defenses = {{"independent", {}}, {"parametric", {}}};
   spec.attacks = {"static", "none"};
   spec.trials = 2;
   spec.jobs = 2;
@@ -168,6 +167,17 @@ TEST(Store, RejectsForeignFiles) {
   EXPECT_THROW(ResultStore::open_existing(path.string()), std::runtime_error);
   EXPECT_THROW(ResultStore::open(path.string(), spec_fingerprint(1)),
                std::runtime_error);
+
+  // A version-1 store (trial records with the algorithm byte) is refused
+  // by its magic instead of being misdecoded.
+  const auto current = temp_store("current.store");
+  ResultStore::create(current.string(), spec_fingerprint(1));
+  std::string bytes = read_file(current);
+  ASSERT_EQ(bytes.substr(0, 8), "STTSTOR2");
+  bytes[7] = '1';
+  const auto old = temp_store("version1.store");
+  append_bytes(old, bytes);
+  EXPECT_THROW(ResultStore::open_existing(old.string()), std::runtime_error);
 }
 
 TEST(Store, AppendsDedupAndReloadExactly) {
@@ -348,7 +358,7 @@ TEST(CampaignStore, DedupCacheCountsGroupReuse) {
   // attacker view, so every group shows exactly one reuse.
   CampaignSpec spec = small_spec();
   spec.benchmarks = {"s641"};
-  spec.algorithms = {SelectionAlgorithm::kIndependent};
+  spec.defenses = {{"independent", {}}};
   spec.attacks = {"static", "bf"};
   spec.trials = 1;
   const CampaignReport rep = run_campaign(spec);

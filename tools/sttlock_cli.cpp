@@ -2,23 +2,21 @@
 //
 //   sttlock gen     --profile s641 --seed 1 --out s641.bench
 //   sttlock info    --in s641.bench
-//   sttlock lock    --in s641.bench --algorithm parametric --seed 7
-//                   --out-hybrid h.bench --out-foundry f.bench --out-key k.key
-//                   [--margin 0.05] [--pack] [--paths N]
 //   sttlock defend  --in s641.bench --kind xor --seed 7 --tune count=16
 //                   --out-locked l.bench --out-foundry f.bench
 //                   --out-key k.key --out-annotations a.txt
+//                   [--margin 0.05] [--pack] [--out-bitstream b.sttb]
 //   sttlock defend  --list            (defense kinds + tuning knobs)
 //   sttlock attack  --view f.bench --oracle h.bench
 //                   --kind sat|seq|sens|gsens|bf|ml|dpa|static
 //                   [--seed S --time-limit T --query-budget Q --work-budget W]
-//                   [--tune k=v,... --jobs N --naive]
+//                   [--tune k=v,... --jobs N]
 //                   [--trace t.json --metrics m.json]
 //   sttlock attack  --list            (attack kinds + tuning knobs)
 //   sttlock convert --in x.bench --out y.v     (format by extension:
 //                                               .bench / .v / .blif)
 //   sttlock program --in f.bench --key k.key --out chip.bench
-//   sttlock campaign --jobs 8 --seeds 3 --algorithms parametric
+//   sttlock campaign --jobs 8 --seeds 3 --defense parametric
 //                    --benchmarks s641,s1238 --out-csv results.csv
 //                    --out-json results.json [--attack sat] [--progress]
 //                    [--trace t.json --metrics m.json]
@@ -31,18 +29,20 @@
 //                   (recombine shard / interrupted-run stores; output is
 //                    byte-identical to the uninterrupted single run)
 //   sttlock lint    --in h.bench [--json report.json] [--strict] [--no-audit]
-//   sttlock lint    --gen s641,s820 --algorithms parametric --seed 7
-//                   (generate + lock + lint each algorithm's output;
+//   sttlock lint    --gen s641,s820 --defense parametric --seed 7
+//                   (generate + defend + lint each defense's output;
 //                    --gen all covers the whole ISCAS'89 set)
 //   sttlock analyze --in h.bench [--annotations a.txt] [--out report.json]
 //   sttlock analyze --gen s641,s820 --defense xor:count=16,const --seed 7
 //                   [--jobs 8] [--json] [--quiet]
 //                   (key-dependency dataflow analysis, KEY001-KEY008;
 //                    --gen all / --defense all sweep the full grid)
+//   sttlock <command> --help          (the command's options)
 //
 // Netlist files are read by extension as well.
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -77,7 +77,12 @@ namespace {
 
 using namespace stt;
 using cli::ObsCapture;
+using cli::parse_tuning_list;
 using cli::write_text_file;
+
+/// Default defense axis of `campaign` and `lint --gen`: the paper's three
+/// selection algorithms, registered as defenses of the same names.
+constexpr const char* kPaperKinds = "independent,dependent,parametric";
 
 Netlist load_netlist(const std::string& path) {
   if (ends_with(path, ".bench")) return read_bench_file(path);
@@ -160,101 +165,6 @@ int cmd_info(const std::vector<std::string>& args) {
   return 0;
 }
 
-int cmd_lock(const std::vector<std::string>& args) {
-  ArgParser p;
-  p.add_option("--in", "input netlist (pure CMOS)");
-  p.add_option("--algorithm", "independent | dependent | parametric",
-               "parametric");
-  p.add_option("--seed", "selection seed", "1");
-  p.add_option("--margin", "parametric timing margin", "0.05");
-  p.add_option("--paths", "parametric timing-path count (0 = auto)", "0");
-  p.add_option("--count", "independent gate count", "5");
-  p.add_option("--out-hybrid", "configured hybrid netlist output", "");
-  p.add_option("--out-foundry", "redacted netlist output", "");
-  p.add_option("--out-key", "plain key-file output", "");
-  p.add_option("--out-bitstream", "CRC-protected programming image output",
-               "");
-  p.add_flag("--pack", "apply complex-function packing + dummy inputs");
-  p.parse(args);
-
-  const Netlist original = load_netlist(p.get("--in"));
-  const TechLibrary lib = TechLibrary::cmos90_stt();
-  FlowOptions opt;
-  const std::string alg = p.get("--algorithm");
-  if (alg == "independent") {
-    opt.algorithm = SelectionAlgorithm::kIndependent;
-  } else if (alg == "dependent") {
-    opt.algorithm = SelectionAlgorithm::kDependent;
-  } else if (alg == "parametric") {
-    opt.algorithm = SelectionAlgorithm::kParametric;
-  } else {
-    std::fprintf(stderr, "unknown algorithm '%s'\n", alg.c_str());
-    return 1;
-  }
-  opt.selection.seed = static_cast<std::uint64_t>(p.get_int("--seed"));
-  opt.selection.timing_margin = p.get_double("--margin");
-  opt.selection.para_num_paths = static_cast<int>(p.get_int("--paths"));
-  opt.selection.indep_count = static_cast<int>(p.get_int("--count"));
-
-  FlowResult flow = run_secure_flow(original, lib, opt);
-  if (p.flag("--pack")) {
-    PackingOptions popt;
-    popt.seed = opt.selection.seed;
-    popt.lib = &lib;
-    popt.max_delay_ps = flow.overhead.original_delay_ps *
-                        (1.0 + opt.selection.timing_margin);
-    const auto packed = pack_complex_functions(flow.hybrid, popt);
-    flow.hybrid = strip_dead_logic(flow.hybrid);
-    flow.selection.key = extract_key(flow.hybrid);
-    flow.overhead = compare_overhead(original, flow.hybrid, lib);
-    flow.security = security_report(flow.hybrid, SimilarityModel::paper());
-    std::printf("packing: absorbed %d gates, added %d dummy inputs\n",
-                packed.absorbed_gates, packed.dummies_added);
-  }
-
-  std::printf("%s: %zu LUTs | perf %+.2f%% | power %+.2f%% | area %+.2f%%\n",
-              algorithm_name(opt.algorithm).c_str(),
-              flow.selection.key.size(),
-              flow.overhead.perf_degradation_pct(),
-              flow.overhead.power_overhead_pct(),
-              flow.overhead.area_overhead_pct());
-  std::printf("attack cost: N_indep=%s  N_dep=%s  N_bf=%s test clocks\n",
-              flow.security.n_indep.to_string().c_str(),
-              flow.security.n_dep.to_string().c_str(),
-              flow.security.n_bf.to_string().c_str());
-
-  if (!p.get("--out-hybrid").empty()) {
-    save_netlist(flow.hybrid, p.get("--out-hybrid"), false);
-  }
-  if (!p.get("--out-foundry").empty()) {
-    save_netlist(flow.hybrid, p.get("--out-foundry"), true);
-  }
-  if (!p.get("--out-key").empty()) {
-    std::ofstream key(p.get("--out-key"));
-    key << key_to_string(flow.selection.key);
-  }
-  if (!p.get("--out-bitstream").empty()) {
-    std::ofstream image(p.get("--out-bitstream"));
-    image << write_bitstream(flow.hybrid);
-  }
-  return 0;
-}
-
-attack::Tuning parse_tuning_list(const std::string& list, char sep) {
-  attack::Tuning tuning;
-  for (const std::string& kv : split(list, sep)) {
-    if (trim(kv).empty()) continue;
-    const auto eq = kv.find('=');
-    if (eq == std::string::npos) {
-      throw std::runtime_error("tuning entries must be key=value, got '" +
-                               kv + "'");
-    }
-    tuning.emplace_back(std::string(trim(kv.substr(0, eq))),
-                        std::string(trim(kv.substr(eq + 1))));
-  }
-  return tuning;
-}
-
 int list_attacks() {
   std::printf("registered attacks:\n");
   for (const attack::AttackInfo& info : attack::registry().catalogue()) {
@@ -288,8 +198,8 @@ int cmd_attack(const std::vector<std::string>& args) {
   p.add_flag("--list", "print the registered attacks and their knobs");
   p.add_option("--view", "attacker's netlist (LUT contents ignored)");
   p.add_option("--oracle", "configured netlist standing in for the chip");
-  p.add_option("--kind", "attack to run: sat|seq|sens|gsens|bf|ml|dpa|static", "");
-  p.add_option("--method", "deprecated alias for --kind", "");
+  p.add_option("--kind", "attack to run: sat|seq|sens|gsens|bf|ml|dpa|static",
+               "sat");
   p.add_option("--seed", "attack seed (empty = the attack's default)", "");
   p.add_option("--time-limit", "wall-clock cap in seconds (empty = default)",
                "");
@@ -302,7 +212,6 @@ int cmd_attack(const std::vector<std::string>& args) {
                "comma list of attack-specific key=value knobs, e.g. "
                "warmup_words=8,frames=12",
                "");
-  p.add_flag("--naive", "legacy full-copy DIP encoding (sat baseline)");
   cli::CommonOptions common_opt(p, cli::kJobs | cli::kObs | cli::kSimIsa);
   p.parse(args);
   if (p.flag("--list")) return list_attacks();
@@ -310,17 +219,8 @@ int cmd_attack(const std::vector<std::string>& args) {
 
   const Netlist view = foundry_view(load_netlist(p.get("--view")));
   const Netlist chip = load_netlist(p.get("--oracle"));
-  std::string kind = p.get("--kind");
-  if (kind.empty()) kind = p.get("--method");
-  if (kind.empty()) kind = "sat";
-  if (!attack::registry().contains(kind)) {
-    std::fprintf(stderr, "unknown attack '%s'; known:", kind.c_str());
-    for (const std::string& name : attack::registry().names()) {
-      std::fprintf(stderr, " %s", name.c_str());
-    }
-    std::fprintf(stderr, "\n");
-    return 1;
-  }
+  // registry().run rejects an unknown kind, listing the known ones.
+  const std::string kind = p.get("--kind");
 
   attack::CommonAttackOptions common;
   if (!p.get("--seed").empty()) {
@@ -336,8 +236,7 @@ int cmd_attack(const std::vector<std::string>& args) {
     common.work_budget = p.get_int("--work-budget");
   }
 
-  attack::Tuning tuning = parse_tuning_list(p.get("--tune"), ',');
-  if (p.flag("--naive")) tuning.emplace_back("naive", "1");
+  const attack::Tuning tuning = parse_tuning_list(p.get("--tune"), ',');
 
   const unsigned jobs = common_opt.jobs();
   ThreadPool pool(jobs == 0 ? 0u : jobs);
@@ -391,6 +290,10 @@ int cmd_defend(const std::vector<std::string>& args) {
   p.add_option("--out-key", "plain key-file output", "");
   p.add_option("--out-annotations",
                "defense-annotation file consumed by `sttlock lint`", "");
+  p.add_option("--out-bitstream", "CRC-protected programming image output",
+               "");
+  p.add_flag("--pack",
+             "paper kinds only: complex-function packing + dummy inputs");
   cli::CommonOptions common_opt(p, cli::kSimIsa);
   p.parse(args);
   if (p.flag("--list")) return list_defenses();
@@ -399,15 +302,36 @@ int cmd_defend(const std::vector<std::string>& args) {
     std::fprintf(stderr, "defend: pass --in <netlist> (or --list)\n");
     return 1;
   }
+  const std::string kind = p.get("--kind");
+  if (p.flag("--pack") && kind != "independent" && kind != "dependent" &&
+      kind != "parametric") {
+    throw ArgError("--pack applies to the paper kinds independent, "
+                   "dependent and parametric, not '" + kind + "'");
+  }
 
   const Netlist original = load_netlist(p.get("--in"));
   const TechLibrary lib = TechLibrary::cmos90_stt();
   defense::DefenseOptions opt;
   opt.seed = static_cast<std::uint64_t>(p.get_int("--seed"));
   opt.timing_margin = p.get_double("--margin");
-  const defense::DefenseResult r =
-      defense::registry().apply(p.get("--kind"), original, lib, opt,
-                                parse_tuning_list(p.get("--tune"), ','));
+  defense::DefenseResult r = defense::registry().apply(
+      kind, original, lib, opt, parse_tuning_list(p.get("--tune"), ','));
+  if (p.flag("--pack")) {
+    PackingOptions popt;
+    popt.seed = opt.seed;
+    popt.lib = &lib;
+    popt.max_delay_ps =
+        r.overhead.original_delay_ps * (1.0 + opt.timing_margin);
+    const auto packed = pack_complex_functions(r.locked, popt);
+    r.locked = strip_dead_logic(r.locked);
+    r.key = extract_key(r.locked);
+    r.key_cells = static_cast<int>(r.key.size());
+    r.key_bits = static_cast<int>(key_bits(r.locked));
+    r.overhead = compare_overhead(original, r.locked, lib);
+    r.security = security_report(r.locked, SimilarityModel::paper());
+    std::printf("packing: absorbed %d gates, added %d dummy inputs\n",
+                packed.absorbed_gates, packed.dummies_added);
+  }
 
   std::printf("%s: %s | %d key cells (%d key bits) | +%d cells, %d replaced\n",
               r.defense.c_str(), r.detail.c_str(), r.key_cells, r.key_bits,
@@ -434,17 +358,45 @@ int cmd_defend(const std::vector<std::string>& args) {
     write_text_file(p.get("--out-annotations"),
                     annotations_to_string(r.annotations));
   }
+  if (!p.get("--out-bitstream").empty()) {
+    write_text_file(p.get("--out-bitstream"), write_bitstream(r.locked));
+  }
   return 0;
+}
+
+/// The report outputs shared by `campaign` and `merge`.
+void add_report_options(ArgParser& p) {
+  p.add_option("--out-csv", "deterministic result rows (CSV)", "");
+  p.add_option("--out-json", "full JSON report (results+summary+runtime)", "");
+  p.add_option("--stable-json",
+               "deterministic JSON report (no runtime section; "
+               "byte-comparable across runs, --jobs, resume and shards)",
+               "");
+}
+
+/// Writes the files add_report_options() asked for, then the summary table
+/// unless `quiet`.
+void write_report(const ArgParser& p, const CampaignReport& report,
+                  bool quiet) {
+  if (!p.get("--out-csv").empty()) {
+    write_text_file(p.get("--out-csv"), campaign_results_csv(report));
+  }
+  if (!p.get("--out-json").empty()) {
+    write_text_file(p.get("--out-json"), campaign_json(report));
+  }
+  if (!p.get("--stable-json").empty()) {
+    write_text_file(p.get("--stable-json"),
+                    campaign_json(report, /*include_profile=*/false));
+  }
+  if (!quiet) std::printf("%s\n", campaign_summary_text(report).c_str());
 }
 
 int cmd_campaign(const std::vector<std::string>& args) {
   ArgParser p;
   p.add_option("--benchmarks",
-               "comma-separated ISCAS'89 profile names (default: all 12)", "");
-  p.add_option("--algorithms",
-               "comma-separated subset of independent,dependent,parametric",
-               "independent,dependent,parametric");
-  p.add_option("--seeds", "trials per (benchmark, algorithm) grid point", "1");
+               "comma-separated ISCAS'89 profile names, or 'all'", "all");
+  p.add_option("--seeds", "trials per (benchmark, defense, attack) grid point",
+               "1");
   p.add_option("--master-seed", "campaign master seed", "20160605");
   p.add_option("--retries", "max attempts per grid point (seed backoff)", "3");
   p.add_option("--attack",
@@ -453,17 +405,11 @@ int cmd_campaign(const std::vector<std::string>& args) {
                "none");
   p.add_option("--defense",
                "defense axis: comma list of kind[:k=v[:k=v...]] entries "
-               "(see 'sttlock defend --list'), or 'all'; default is the "
-               "--algorithms paper sweep",
-               "");
+               "(see 'sttlock defend --list'), or 'all'",
+               kPaperKinds);
   p.add_option("--margin", "parametric timing margin", "0.05");
-  p.add_option("--out-csv", "deterministic result rows (CSV)", "");
+  add_report_options(p);
   p.add_option("--out-times-csv", "measured per-job timing rows (CSV)", "");
-  p.add_option("--out-json", "full JSON report (results+summary+runtime)", "");
-  p.add_option("--stable-json",
-               "deterministic JSON report (no runtime section; "
-               "byte-comparable across runs, --jobs, resume and shards)",
-               "");
   p.add_option("--store",
                "record every completed grid point into this append-only "
                "result store (refuses to clobber; continue with --resume)",
@@ -483,22 +429,13 @@ int cmd_campaign(const std::vector<std::string>& args) {
   common_opt.load(p);
 
   CampaignSpec spec;
-  if (!p.get("--benchmarks").empty()) {
-    spec.benchmarks = split(p.get("--benchmarks"), ',');
-  }
-  spec.algorithms.clear();
-  for (const std::string& name : split(p.get("--algorithms"), ',')) {
-    if (name == "independent") {
-      spec.algorithms.push_back(SelectionAlgorithm::kIndependent);
-    } else if (name == "dependent") {
-      spec.algorithms.push_back(SelectionAlgorithm::kDependent);
-    } else if (name == "parametric") {
-      spec.algorithms.push_back(SelectionAlgorithm::kParametric);
-    } else {
-      std::fprintf(stderr, "unknown algorithm '%s'\n", name.c_str());
-      return 1;
-    }
-  }
+  spec.benchmarks = cli::expand_profiles(p.get("--benchmarks"));
+  spec.defenses = cli::parse_defense_axis(p.get("--defense"));
+  // Attack axis; unknown names are rejected by run_campaign with the list
+  // of valid kinds.
+  spec.attacks = p.get("--attack") == "all"
+                     ? attack::registry().names()
+                     : cli::split_list(p.get("--attack"));
   spec.trials = static_cast<int>(p.get_int("--seeds"));
   spec.master_seed = static_cast<std::uint64_t>(p.get_int("--master-seed"));
   spec.jobs = common_opt.jobs();
@@ -527,43 +464,9 @@ int cmd_campaign(const std::vector<std::string>& args) {
     return 1;
   }
 
-  // Defense axis: explicit entries override the --algorithms paper sweep.
-  const std::string defense_arg = p.get("--defense");
-  if (defense_arg == "all") {
-    for (const std::string& name : defense::registry().names()) {
-      spec.defenses.push_back({name, {}});
-    }
-  } else {
-    for (const std::string& entry : split(defense_arg, ',')) {
-      if (trim(entry).empty()) continue;
-      DefenseAxis axis;
-      const auto colon = entry.find(':');
-      axis.kind = std::string(trim(entry.substr(0, colon)));
-      if (colon != std::string::npos) {
-        axis.tuning = parse_tuning_list(entry.substr(colon + 1), ':');
-      }
-      spec.defenses.push_back(std::move(axis));
-    }
-  }
-  // Attack axis; unknown names are rejected by run_campaign with the list
-  // of valid kinds.
-  const std::string attack_arg = p.get("--attack");
-  if (attack_arg == "all") {
-    spec.attacks = attack::registry().names();
-  } else {
-    for (const std::string& name : split(attack_arg, ',')) {
-      if (trim(name).empty()) continue;
-      spec.attacks.push_back(std::string(trim(name)));
-    }
-  }
-
-  const std::size_t grid =
-      (spec.benchmarks.empty() ? iscas89_profiles().size()
-                               : spec.benchmarks.size()) *
-      (spec.defenses.empty() ? spec.algorithms.size()
-                             : spec.defenses.size()) *
-      (spec.attacks.empty() ? 1 : spec.attacks.size()) *
-      static_cast<std::size_t>(spec.trials);
+  const std::size_t grid = spec.benchmarks.size() * spec.defenses.size() *
+                           spec.attacks.size() *
+                           static_cast<std::size_t>(spec.trials);
   ProgressMeter meter(grid, p.flag("--progress"));
   spec.on_progress = [&meter](std::size_t done, std::size_t,
                               const std::string& label) {
@@ -578,23 +481,10 @@ int cmd_campaign(const std::vector<std::string>& args) {
   if (!report.profile.store_note.empty()) {
     std::fprintf(stderr, "store: %s\n", report.profile.store_note.c_str());
   }
-  if (!p.get("--out-csv").empty()) {
-    write_text_file(p.get("--out-csv"), campaign_results_csv(report));
-  }
   if (!p.get("--out-times-csv").empty()) {
     write_text_file(p.get("--out-times-csv"), campaign_timing_csv(report));
   }
-  if (!p.get("--out-json").empty()) {
-    write_text_file(p.get("--out-json"), campaign_json(report));
-  }
-  if (!p.get("--stable-json").empty()) {
-    write_text_file(p.get("--stable-json"),
-                    campaign_json(report, /*include_profile=*/false));
-  }
-
-  if (!common_opt.quiet()) {
-    std::printf("%s\n", campaign_summary_text(report).c_str());
-  }
+  write_report(p, report, common_opt.quiet());
   std::printf(
       "campaign: %zu rows (%zu failed) on %u threads in %.1fs "
       "(job cpu %.1fs, %llu tasks, %llu stolen)\n",
@@ -623,20 +513,12 @@ int cmd_merge(const std::vector<std::string>& args) {
   p.add_option("--in",
                "comma-separated result stores to merge (shards of one "
                "campaign, or an interrupted store plus its continuation)");
-  p.add_option("--out-csv", "deterministic result rows (CSV)", "");
-  p.add_option("--out-json", "full JSON report (results+summary+runtime)", "");
-  p.add_option("--stable-json",
-               "deterministic JSON report (no runtime section; "
-               "byte-comparable across runs, --jobs, resume and shards)",
-               "");
+  add_report_options(p);
   cli::CommonOptions common_opt(p, cli::kQuiet);
   p.parse(args);
   common_opt.load(p);
 
-  std::vector<std::string> paths;
-  for (const std::string& path : split(p.get("--in"), ',')) {
-    if (!trim(path).empty()) paths.push_back(std::string(trim(path)));
-  }
+  const std::vector<std::string> paths = cli::split_list(p.get("--in"));
   if (paths.empty()) {
     std::fprintf(stderr, "merge: pass --in <store>[,<store>...]\n");
     return 1;
@@ -644,20 +526,7 @@ int cmd_merge(const std::vector<std::string>& args) {
 
   MergeStats stats;
   const CampaignReport report = merge_stores(paths, &stats);
-
-  if (!p.get("--out-csv").empty()) {
-    write_text_file(p.get("--out-csv"), campaign_results_csv(report));
-  }
-  if (!p.get("--out-json").empty()) {
-    write_text_file(p.get("--out-json"), campaign_json(report));
-  }
-  if (!p.get("--stable-json").empty()) {
-    write_text_file(p.get("--stable-json"),
-                    campaign_json(report, /*include_profile=*/false));
-  }
-  if (!common_opt.quiet()) {
-    std::printf("%s\n", campaign_summary_text(report).c_str());
-  }
+  write_report(p, report, common_opt.quiet());
   std::printf(
       "merge: %zu stores -> %zu rows (%zu stage deltas, %zu duplicate "
       "records, %zu failed rows)\n",
@@ -666,23 +535,61 @@ int cmd_merge(const std::vector<std::string>& args) {
   return report.profile.failed_rows == 0 ? 0 : 2;
 }
 
+/// The `--gen` grid of `lint` and `analyze`: generates each profile at
+/// `opt.seed` and applies every defense axis point to it, profile-major.
+/// `on_clean`, when set, first sees the generated netlist named
+/// "<profile>/clean"; `on_locked` then sees each defense result, its netlist
+/// named "<profile>/<kind>".
+void generate_and_defend(
+    const std::vector<std::string>& profiles,
+    const std::vector<DefenseAxis>& axes, const defense::DefenseOptions& opt,
+    const std::function<void(const Netlist&)>& on_clean,
+    const std::function<void(defense::DefenseResult&)>& on_locked) {
+  const TechLibrary lib = TechLibrary::cmos90_stt();
+  for (const std::string& name : profiles) {
+    const Netlist original = generate_circuit(*find_profile(name), opt.seed);
+    if (on_clean) {
+      Netlist clean = original;
+      clean.set_name(name + "/clean");
+      on_clean(clean);
+    }
+    for (const DefenseAxis& axis : axes) {
+      defense::DefenseResult r = defense::registry().apply(
+          axis.kind, original, lib, opt, axis.tuning);
+      r.locked.set_name(name + "/" + axis.kind);
+      on_locked(r);
+    }
+  }
+}
+
+DefenseAnnotations read_annotations(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) throw std::runtime_error("cannot read " + path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return annotations_from_string(text.str());
+}
+
 int cmd_lint(const std::vector<std::string>& args) {
   ArgParser p;
   p.add_option("--in", "comma-separated netlist files to lint", "");
   p.add_option("--gen",
-               "comma-separated ISCAS'89 profiles to generate, lock and lint "
-               "('all' = the whole set)",
+               "comma-separated ISCAS'89 profiles to generate, defend and "
+               "lint ('all' = the whole set)",
                "");
-  p.add_option("--algorithms",
-               "with --gen: subset of independent,dependent,parametric",
-               "independent,dependent,parametric");
-  p.add_option("--seed", "with --gen: generation/selection seed", "1");
-  p.add_option("--margin", "with --gen: parametric timing margin", "0.05");
+  p.add_option("--defense",
+               "with --gen: comma list of kind[:k=v[:k=v...]] entries "
+               "(see 'sttlock defend --list'), or 'all'",
+               kPaperKinds);
+  p.add_option("--seed", "with --gen: generation/defense seed", "1");
+  p.add_option("--margin", "with --gen: paper-adapter timing margin", "0.05");
   p.add_option("--scoap-threshold",
                "SEC004 resolvability bound (justify+observe cost)", "6.0");
   p.add_option("--annotations",
-               "defense annotation file (sttlock defend --out-annotations): "
-               "declared key gates / decoy latches / locked constants",
+               "with --in: defense annotation file (sttlock defend "
+               "--out-annotations) declaring key gates / decoy latches / "
+               "locked constants; --gen feeds each defense's own annotations "
+               "automatically",
                "");
   p.add_option("--json", "machine-readable report output path", "");
   p.add_flag("--strict", "treat warnings as errors in the exit code");
@@ -694,72 +601,34 @@ int cmd_lint(const std::vector<std::string>& args) {
   LintOptions opt;
   opt.run_audit = !p.flag("--no-audit");
   opt.audit.resolvability_threshold = p.get_double("--scoap-threshold");
-  if (!p.get("--annotations").empty()) {
-    std::ifstream in(p.get("--annotations"));
-    if (!in) throw std::runtime_error("cannot read " + p.get("--annotations"));
-    std::ostringstream text;
-    text << in.rdbuf();
-    opt.defense = annotations_from_string(text.str());
-  }
 
   std::vector<LintReport> reports;
-  auto lint_one = [&](const Netlist& nl) {
+  auto lint_one = [&](const Netlist& nl, const DefenseAnnotations& defense) {
+    opt.defense = defense;
     reports.push_back(run_lint(nl, opt));
     if (!common_opt.quiet()) {
       std::fputs(lint_text(reports.back()).c_str(), stdout);
     }
   };
 
-  for (const std::string& path : split(p.get("--in"), ',')) {
-    if (trim(path).empty()) continue;
-    lint_one(load_netlist(std::string(trim(path))));
+  DefenseAnnotations file_annotations;
+  if (!p.get("--annotations").empty()) {
+    file_annotations = read_annotations(p.get("--annotations"));
+  }
+  for (const std::string& path : cli::split_list(p.get("--in"))) {
+    lint_one(load_netlist(path), file_annotations);
   }
 
   if (!p.get("--gen").empty()) {
-    std::vector<std::string> names;
-    if (p.get("--gen") == "all") {
-      for (const auto& profile : iscas89_profiles()) {
-        names.push_back(profile.name);
-      }
-    } else {
-      names = split(p.get("--gen"), ',');
-    }
-    std::vector<SelectionAlgorithm> algorithms;
-    for (const std::string& name : split(p.get("--algorithms"), ',')) {
-      if (name == "independent") {
-        algorithms.push_back(SelectionAlgorithm::kIndependent);
-      } else if (name == "dependent") {
-        algorithms.push_back(SelectionAlgorithm::kDependent);
-      } else if (name == "parametric") {
-        algorithms.push_back(SelectionAlgorithm::kParametric);
-      } else {
-        std::fprintf(stderr, "unknown algorithm '%s'\n", name.c_str());
-        return 1;
-      }
-    }
-    const TechLibrary lib = TechLibrary::cmos90_stt();
-    const auto seed = static_cast<std::uint64_t>(p.get_int("--seed"));
-    for (const std::string& name : names) {
-      const auto profile = find_profile(name);
-      if (!profile) {
-        std::fprintf(stderr, "unknown profile '%s'\n", name.c_str());
-        return 1;
-      }
-      const Netlist original = generate_circuit(*profile, seed);
-      // The clean pre-lock netlist is part of the regression surface too.
-      Netlist clean = original;
-      clean.set_name(name + "/clean");
-      lint_one(clean);
-      for (const SelectionAlgorithm alg : algorithms) {
-        FlowOptions fopt;
-        fopt.algorithm = alg;
-        fopt.selection.seed = seed;
-        fopt.selection.timing_margin = p.get_double("--margin");
-        FlowResult flow = run_secure_flow(original, lib, fopt);
-        flow.hybrid.set_name(name + "/" + algorithm_name(alg));
-        lint_one(flow.hybrid);
-      }
-    }
+    defense::DefenseOptions dopt;
+    dopt.seed = static_cast<std::uint64_t>(p.get_int("--seed"));
+    dopt.timing_margin = p.get_double("--margin");
+    // The clean pre-lock netlist is part of the regression surface too.
+    generate_and_defend(
+        cli::expand_profiles(p.get("--gen")),
+        cli::parse_defense_axis(p.get("--defense")), dopt,
+        [&](const Netlist& clean) { lint_one(clean, {}); },
+        [&](defense::DefenseResult& r) { lint_one(r.locked, r.annotations); });
   }
 
   if (reports.empty()) {
@@ -816,63 +685,23 @@ int cmd_analyze(const std::vector<std::string>& args) {
 
   DefenseAnnotations file_annotations;
   if (!p.get("--annotations").empty()) {
-    std::ifstream in(p.get("--annotations"));
-    if (!in) throw std::runtime_error("cannot read " + p.get("--annotations"));
-    std::ostringstream text;
-    text << in.rdbuf();
-    file_annotations = annotations_from_string(text.str());
+    file_annotations = read_annotations(p.get("--annotations"));
   }
-  for (const std::string& path : split(p.get("--in"), ',')) {
-    if (trim(path).empty()) continue;
-    const std::string file(trim(path));
-    tasks.push_back({file, load_netlist(file), file_annotations});
+  for (const std::string& path : cli::split_list(p.get("--in"))) {
+    tasks.push_back({path, load_netlist(path), file_annotations});
   }
 
   if (!p.get("--gen").empty()) {
-    std::vector<std::string> names;
-    if (p.get("--gen") == "all") {
-      for (const auto& profile : iscas89_profiles()) {
-        names.push_back(profile.name);
-      }
-    } else {
-      names = split(p.get("--gen"), ',');
-    }
-    std::vector<DefenseAxis> axes;
-    if (p.get("--defense") == "all") {
-      for (const std::string& kind : defense::registry().names()) {
-        axes.push_back({kind, {}});
-      }
-    } else {
-      for (const std::string& entry : split(p.get("--defense"), ',')) {
-        if (trim(entry).empty()) continue;
-        DefenseAxis axis;
-        const auto colon = entry.find(':');
-        axis.kind = std::string(trim(entry.substr(0, colon)));
-        if (colon != std::string::npos) {
-          axis.tuning = parse_tuning_list(entry.substr(colon + 1), ':');
-        }
-        axes.push_back(std::move(axis));
-      }
-    }
-    const TechLibrary lib = TechLibrary::cmos90_stt();
     defense::DefenseOptions opt;
     opt.seed = static_cast<std::uint64_t>(p.get_int("--seed"));
     opt.timing_margin = p.get_double("--margin");
-    for (const std::string& name : names) {
-      const auto profile = find_profile(name);
-      if (!profile) {
-        std::fprintf(stderr, "unknown profile '%s'\n", name.c_str());
-        return 1;
-      }
-      const Netlist original = generate_circuit(*profile, opt.seed);
-      for (const DefenseAxis& axis : axes) {
-        defense::DefenseResult r = defense::registry().apply(
-            axis.kind, original, lib, opt, axis.tuning);
-        r.locked.set_name(name + "/" + axis.kind);
-        tasks.push_back({name + "/" + axis.kind, std::move(r.locked),
-                         std::move(r.annotations)});
-      }
-    }
+    generate_and_defend(cli::expand_profiles(p.get("--gen")),
+                        cli::parse_defense_axis(p.get("--defense")), opt,
+                        nullptr, [&](defense::DefenseResult& r) {
+                          std::string name = r.locked.name();
+                          tasks.push_back({std::move(name), std::move(r.locked),
+                                           std::move(r.annotations)});
+                        });
   }
   if (tasks.empty()) {
     std::fprintf(stderr, "analyze: nothing to do (pass --in or --gen)\n");
@@ -986,9 +815,9 @@ int cmd_program(const std::vector<std::string>& args) {
 void usage() {
   std::fputs(
       "usage: sttlock <command> [options]\n"
-      "commands: gen, info, lock, defend, attack, campaign, merge, lint, "
-      "analyze, convert, program\n"
-      "run 'sttlock <command> --help' is not needed — errors list options.\n",
+      "commands: gen, info, defend, attack, campaign, merge, lint, analyze, "
+      "convert, program\n"
+      "run 'sttlock <command> --help' to list a command's options.\n",
       stderr);
 }
 
@@ -1004,7 +833,6 @@ int main(int argc, char** argv) {
   try {
     if (cmd == "gen") return cmd_gen(args);
     if (cmd == "info") return cmd_info(args);
-    if (cmd == "lock") return cmd_lock(args);
     if (cmd == "defend") return cmd_defend(args);
     if (cmd == "attack") return cmd_attack(args);
     if (cmd == "campaign") return cmd_campaign(args);
@@ -1013,6 +841,10 @@ int main(int argc, char** argv) {
     if (cmd == "analyze") return cmd_analyze(args);
     if (cmd == "convert") return cmd_convert(args);
     if (cmd == "program") return cmd_program(args);
+  } catch (const HelpRequested& help) {
+    std::printf("usage: sttlock %s [options]\n%s", cmd.c_str(),
+                help.text.c_str());
+    return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
