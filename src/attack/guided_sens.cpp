@@ -78,7 +78,6 @@ GuidedSensResult run_guided_sensitization(const Netlist& hybrid,
   }
 
   const std::size_t n_real_in = oracle.num_inputs();
-  const std::size_t n_po = hybrid.outputs().size();
   const std::uint64_t start_queries = oracle.queries();
 
   // A row becomes permanently dead when the SAT query proves no
@@ -93,6 +92,7 @@ GuidedSensResult run_guided_sensitization(const Netlist& hybrid,
     progress = false;
     const AbstractView view = make_abstract(hybrid, luts);
     const PartialEvaluator evaluator(hybrid, luts);
+    ForceProbe probe(evaluator);
 
     for (const CellId lut : lut_ids) {
       LutKnowledge& st = luts[lut];
@@ -189,7 +189,7 @@ GuidedSensResult run_guided_sensitization(const Netlist& hybrid,
           for (std::size_t i = 0; i < n_real_in; ++i) {
             tri_in[i] = tri_from_bool(pattern[i]);
           }
-          const auto base = evaluator.eval(tri_in, kNullCell, Tri::kX);
+          const std::vector<Tri> base = evaluator.eval(tri_in);
           bool valid = true;
           for (int i = 0; i < target.fanin_count() && valid; ++i) {
             const Tri v = base[target.fanins[i]];
@@ -199,20 +199,14 @@ GuidedSensResult run_guided_sensitization(const Netlist& hybrid,
           int observable_index = -1;
           Tri v1_at_obs = Tri::kX;
           if (valid) {
-            const auto w0 = evaluator.eval(tri_in, lut, Tri::kZero);
-            const auto w1 = evaluator.eval(tri_in, lut, Tri::kOne);
-            for (std::size_t o = 0; o < oracle.num_outputs(); ++o) {
-              const CellId cell =
-                  o < n_po ? hybrid.outputs()[o]
-                           : hybrid.cell(hybrid.dffs()[o - n_po]).fanins.at(0);
-              if (w0[cell] != Tri::kX && w1[cell] != Tri::kX &&
-                  w0[cell] != w1[cell]) {
-                observable_index = static_cast<int>(o);
-                v1_at_obs = w1[cell];
-                break;
-              }
-            }
+            probe.rebase(base);
+            probe.force(lut);
+            observable_index = probe.first_sensitized();
             valid = observable_index >= 0;
+            if (valid) {
+              v1_at_obs = probe.value(
+                  1, probe.observation_points()[observable_index]);
+            }
           }
           if (!valid) {
             // Block this witness's real-input assignment and re-derive.

@@ -38,8 +38,8 @@ SensitizationResult run_sensitization_attack(const Netlist& hybrid,
   }
 
   PartialEvaluator evaluator(hybrid, luts);
+  ForceProbe probe(evaluator);
   const std::size_t n_in = oracle.num_inputs();
-  const std::size_t n_po = hybrid.outputs().size();
   const std::uint64_t start_queries = oracle.queries();
 
   int resolved_rows = 0;
@@ -61,7 +61,11 @@ SensitizationResult run_sensitization_attack(const Netlist& hybrid,
 
     std::vector<Tri> tri_in(n_in);
     for (std::size_t i = 0; i < n_in; ++i) tri_in[i] = tri_from_bool(pattern[i]);
-    const std::vector<Tri> base = evaluator.eval(tri_in, kNullCell, Tri::kX);
+    // Row justification reads this pattern's base throughout; the probe's
+    // base is re-derived after every resolution so later probes see the
+    // knowledge this pattern has already added.
+    const std::vector<Tri> base = evaluator.eval(tri_in);
+    probe.rebase(base);
 
     for (const CellId lut : lut_ids) {
       LutKnowledge& st = luts[lut];
@@ -82,25 +86,17 @@ SensitizationResult run_sensitization_attack(const Netlist& hybrid,
 
       // Propagate: does forcing the LUT output provably reach an
       // observable bit (PO or next-state) that the oracle reveals?
-      const auto w0 = evaluator.eval(tri_in, lut, Tri::kZero);
-      const auto w1 = evaluator.eval(tri_in, lut, Tri::kOne);
-      auto observable = [&](std::size_t idx) -> CellId {
-        if (idx < n_po) return hybrid.outputs()[idx];
-        return hybrid.cell(hybrid.dffs()[idx - n_po]).fanins.at(0);
-      };
-      for (std::size_t o = 0; o < response.size(); ++o) {
-        const CellId cell = observable(o);
-        const Tri v0 = w0[cell];
-        const Tri v1 = w1[cell];
-        if (v0 == Tri::kX || v1 == Tri::kX || v0 == v1) continue;
-        const bool row_value = (tri_from_bool(response[o]) == v1);
-        st.known_mask |= (1ull << row);
-        if (row_value) st.value_mask |= (1ull << row);
-        ++resolved_rows;
-        stale = 0;
-        if (st.complete()) ++resolved_luts;
-        break;
-      }
+      probe.force(lut);
+      const int o = probe.first_sensitized();
+      if (o < 0) continue;
+      const Tri v1 = probe.value(1, probe.observation_points()[o]);
+      const bool row_value = (tri_from_bool(response[o]) == v1);
+      st.known_mask |= (1ull << row);
+      if (row_value) st.value_mask |= (1ull << row);
+      ++resolved_rows;
+      stale = 0;
+      if (st.complete()) ++resolved_luts;
+      probe.refresh(lut);
     }
   }
 

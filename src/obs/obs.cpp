@@ -7,6 +7,8 @@
 #include <sstream>
 #include <thread>
 
+#include "util/strings.hpp"
+
 namespace stt::obs {
 
 // ---------------------------------------------------------------------------
@@ -46,32 +48,6 @@ void snapshot_merge(MetricsSnapshot& into, const MetricsSnapshot& from) {
       dst.buckets[b] += h.buckets[b];
   }
 }
-
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string metrics_json(const MetricsSnapshot& snap, int indent) {
   const std::string pad(static_cast<std::size_t>(std::max(indent, 0)), ' ');

@@ -33,6 +33,10 @@ bool ends_with(std::string_view s, std::string_view suffix);
 /// Case-insensitive equality (ASCII).
 bool iequals(std::string_view a, std::string_view b);
 
+/// Escape `s` for a JSON string literal: quote, backslash, \n and \t get
+/// their short escapes, other control characters \u00XX.
+std::string json_escape(std::string_view s);
+
 /// printf-style formatting into a std::string.
 std::string strformat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

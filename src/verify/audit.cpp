@@ -3,8 +3,9 @@
 #include <stdexcept>
 #include <unordered_set>
 
-#include "sim/partial_eval.hpp"
 #include "graph/analysis.hpp"
+#include "obs/obs.hpp"
+#include "sim/partial_eval.hpp"
 #include "sim/scoap.hpp"
 #include "util/strings.hpp"
 
@@ -51,6 +52,7 @@ StaticAuditResult run_static_audit(const Netlist& nl,
     }
   }
 
+  STTLOCK_SPAN("verify", "audit");
   StaticAuditResult result;
   result.optimistic = security_report(nl, opt.model);
 
@@ -63,19 +65,17 @@ StaticAuditResult run_static_audit(const Netlist& nl,
   // is X, every missing gate's output is X (zero LUT knowledge), so a
   // definite wave value is a static constant no key and no stimulus can
   // change.
-  LutKnowledgeMap knowledge;
-  for (const CellId id : luts) {
-    LutKnowledge k;
-    k.rows = num_rows(nl.cell(id).fanin_count());
-    knowledge.emplace(id, k);
-  }
+  const LutKnowledgeMap knowledge = unknown_luts(nl);
   const PartialEvaluator evaluator(nl, knowledge);
   const std::vector<Tri> all_x(nl.inputs().size() + nl.dffs().size(),
                                Tri::kX);
-  const std::vector<Tri> wave = evaluator.eval(all_x, kNullCell, Tri::kX);
+  const std::vector<Tri> wave = evaluator.eval(all_x);
+  ForceProbe probe(evaluator);
+  probe.rebase(wave);
 
   const ScoapResult scoap = [&] {
     if (!opt.scoap || luts.empty()) return ScoapResult{};
+    STTLOCK_SPAN("verify", "audit_scoap");
     ScoapOptions sopt;
     sopt.attacker_view = true;
     return compute_scoap(nl, sopt);
@@ -173,27 +173,10 @@ StaticAuditResult run_static_audit(const Netlist& nl,
     // Masked output: forcing the gate to 0 vs 1 leaves every observation
     // point (primary outputs and flip-flop D pins) at the same *definite*
     // value — sound proof that the secret never reaches the interface.
-    if (!nl.outputs().empty() || !nl.dffs().empty()) {
-      const std::vector<Tri> wave0 = evaluator.eval(all_x, id, Tri::kZero);
-      const std::vector<Tri> wave1 = evaluator.eval(all_x, id, Tri::kOne);
-      bool masked = true;
-      for (const CellId po : nl.outputs()) {
-        if (!definite(wave0[po]) || wave0[po] != wave1[po]) {
-          masked = false;
-          break;
-        }
-      }
-      if (masked) {
-        for (const CellId ff : nl.dffs()) {
-          const CellId d = nl.cell(ff).fanins.at(0);
-          if (!definite(wave0[d]) || wave0[d] != wave1[d]) {
-            masked = false;
-            break;
-          }
-        }
-      }
-      audit.masked = masked;
-      if (masked) {
+    if (!probe.observation_points().empty()) {
+      probe.force(id);
+      audit.masked = probe.masked();
+      if (audit.masked) {
         result.findings.push_back(make_finding(
             nl, LintRule::kMaskedLut, id,
             strformat("missing gate '%s' is statically blocked from every "
@@ -219,6 +202,14 @@ StaticAuditResult run_static_audit(const Netlist& nl,
     if (audit.inferable || audit.masked) excluded.insert(id);
     result.luts.push_back(std::move(audit));
   }
+  // Deterministic in value, but runtime-tagged: the campaign's stable
+  // metrics block predates these counters and stays byte-identical.
+  static obs::Counter& probes =
+      obs::Metrics::global().counter("verify.audit.probes", /*stable=*/false);
+  static obs::Counter& probe_cells = obs::Metrics::global().counter(
+      "verify.audit.probe_cells", /*stable=*/false);
+  probes.add(probe.probes());
+  probe_cells.add(probe.cells_evaluated());
 
   // ---- audited Eqs. (1)-(3) -----------------------------------------------
   // Mirrors core/security.cpp term for term; the only deviations are the

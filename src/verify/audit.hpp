@@ -11,7 +11,7 @@
 // the optimistic per-gate (alpha, P, D) overstate the attack cost.
 //
 // This pass runs the attacker-view ternary propagation (sim/ternary via
-// attack/partial_eval: every LUT output is X), audits each missing gate,
+// sim/partial_eval: every LUT output is X), audits each missing gate,
 // then recomputes Eqs. (1)-(3) from the audited alpha/P/D/I/M and reports
 // the delta against core/security.cpp's optimistic figures. On a netlist
 // where nothing collapses the audited report matches the optimistic one

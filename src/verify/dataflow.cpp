@@ -9,14 +9,12 @@ namespace stt {
 // TernaryDomain
 // ---------------------------------------------------------------------------
 
-Tri TernaryDomain::source(const Netlist& /*nl*/, CellId id) const {
-  if (id == force_cell) return force_value;
+Tri TernaryDomain::source(const Netlist& /*nl*/, CellId /*id*/) const {
   return Tri::kX;
 }
 
 Tri TernaryDomain::transfer(const Netlist& nl, CellId id,
                             std::span<const Tri> fanins) const {
-  if (id == force_cell) return force_value;
   const Cell& c = nl.cell(id);
   if (c.kind == CellKind::kConst0) return Tri::kZero;
   if (c.kind == CellKind::kConst1) return Tri::kOne;

@@ -215,15 +215,13 @@ class BackwardDataflow {
 
 /// Attacker-view Kleene constant propagation: PIs and state bits are X,
 /// every LUT output is X (`lut_unknown`), definite values are static
-/// constants no key and no stimulus can change. One optional forced cell
-/// implements the audit's sensitivity probe (is an observation point's value
-/// different when this cell is 0 vs 1?).
+/// constants no key and no stimulus can change. The sensitivity probe over
+/// this wave (is an observation point's value different when a cell is 0
+/// vs 1?) is sim/partial_eval's incremental ForceProbe.
 struct TernaryDomain {
   using Value = Tri;
 
   bool lut_unknown = true;
-  CellId force_cell = kNullCell;
-  Tri force_value = Tri::kX;
 
   Value source(const Netlist& nl, CellId id) const;
   Value transfer(const Netlist& nl, CellId id,

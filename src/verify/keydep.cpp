@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <tuple>
 
+#include "obs/obs.hpp"
+#include "sim/partial_eval.hpp"
 #include "util/strings.hpp"
 #include "verify/dataflow.hpp"
 
@@ -11,82 +13,68 @@ namespace stt {
 
 namespace {
 
-bool definite(Tri t) { return t != Tri::kX; }
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += strformat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-// Fixed-width bitset over CellIds for the fanout-cone intersections.
-class ConeSet {
+// Combinational fanout cone of one key cell as a bitset over topo rank. A
+// reader always ranks after its driver, so every member ranks at or after
+// the root: only the words from the root's to the deepest member's are
+// stored, and two cones can share a cell only from the later root's word on.
+class RankCone {
  public:
-  explicit ConeSet(std::size_t cells) : words_((cells + 63) / 64, 0) {}
-  void set(CellId id) { words_[id >> 6] |= (1ull << (id & 63)); }
-  bool test(CellId id) const {
-    return (words_[id >> 6] >> (id & 63)) & 1ull;
+  RankCone(std::uint32_t first, std::vector<std::uint64_t> words)
+      : first_(first), words_(std::move(words)) {}
+  std::uint32_t begin() const { return first_; }
+  std::uint32_t end() const {
+    return first_ + static_cast<std::uint32_t>(words_.size());
+  }
+  /// Word `w` of the bitset; requires begin() <= w < end().
+  const std::uint64_t* word(std::uint32_t w) const {
+    return words_.data() + (w - first_);
+  }
+  bool test(std::uint32_t rank) const {
+    const std::uint32_t w = rank >> 6;
+    return w >= begin() && w < end() && ((*word(w) >> (rank & 63)) & 1ull);
   }
   int popcount() const {
     int n = 0;
     for (const std::uint64_t w : words_) n += __builtin_popcountll(w);
     return n;
   }
-  bool intersects(const ConeSet& other) const {
-    for (std::size_t i = 0; i < words_.size(); ++i) {
-      if (words_[i] & other.words_[i]) return true;
-    }
-    return false;
-  }
-  /// Cells present in both sets, ascending CellId.
-  std::vector<CellId> intersection(const ConeSet& other) const {
-    std::vector<CellId> out;
-    for (std::size_t i = 0; i < words_.size(); ++i) {
-      std::uint64_t w = words_[i] & other.words_[i];
-      while (w) {
-        const int bit = __builtin_ctzll(w);
-        out.push_back(static_cast<CellId>(i * 64 + bit));
-        w &= w - 1;
-      }
-    }
-    return out;
-  }
 
  private:
+  std::uint32_t first_;
   std::vector<std::uint64_t> words_;
 };
 
-// Combinational fanout cone of `root` (cone includes the root; traversal
-// stops at DFF D pins — those are observation points, not cone members).
-ConeSet fanout_cone(const Netlist& nl, CellId root) {
-  ConeSet cone(nl.size());
+// Fanout cone of `root` (cone includes the root; traversal stops at DFF D
+// pins — those are observation points, not cone members). `scratch` is an
+// all-zero rank bitset covering the netlist, left all-zero on return.
+RankCone fanout_cone(const Netlist& nl, CellId root,
+                     const std::vector<std::uint32_t>& rank,
+                     std::vector<std::uint64_t>& scratch) {
+  const auto test_and_set = [&scratch](std::uint32_t r) {
+    std::uint64_t& w = scratch[r >> 6];
+    const std::uint64_t bit = 1ull << (r & 63);
+    const bool was = (w & bit) != 0;
+    w |= bit;
+    return was;
+  };
+  std::uint32_t last = rank[root];
+  test_and_set(rank[root]);
   std::vector<CellId> work{root};
-  cone.set(root);
   while (!work.empty()) {
     const CellId u = work.back();
     work.pop_back();
     for (const CellId reader : nl.cell(u).fanouts) {
       if (nl.cell(reader).kind == CellKind::kDff) continue;
-      if (cone.test(reader)) continue;
-      cone.set(reader);
+      if (test_and_set(rank[reader])) continue;
+      last = std::max(last, rank[reader]);
       work.push_back(reader);
     }
   }
-  return cone;
+  const auto first = scratch.begin() + (rank[root] >> 6);
+  const auto stop = scratch.begin() + (last >> 6) + 1;
+  std::vector<std::uint64_t> words(first, stop);
+  std::fill(first, stop, 0);
+  return RankCone(rank[root] >> 6, std::move(words));
 }
 
 // The `const` defense's injected-constant template: a 1-input LUT `lc` whose
@@ -168,6 +156,7 @@ KeydepResult analyze_keydep(const Netlist& nl, const KeydepOptions& opt) {
     }
   }
 
+  STTLOCK_SPAN("verify", "keydep");
   KeydepResult result;
   std::vector<CellId> luts;
   for (CellId id = 0; id < nl.size(); ++id) {
@@ -193,6 +182,7 @@ KeydepResult analyze_keydep(const Netlist& nl, const KeydepOptions& opt) {
   SupportDomain::CutState cut_state;
   std::vector<SupportFunction> support;
   if (opt.support_analysis) {
+    STTLOCK_SPAN("verify", "keydep_support");
     cut_state.cut.assign(nl.size(), 0);
     cut_state.absorbed.assign(nl.size(), 0);
     SupportDomain domain;
@@ -201,111 +191,139 @@ KeydepResult analyze_keydep(const Netlist& nl, const KeydepOptions& opt) {
     support = solver.solve();
   }
 
-  const bool have_obs = !nl.outputs().empty() || !nl.dffs().empty();
-  std::vector<CellId> obs_points(nl.outputs().begin(), nl.outputs().end());
-  for (const CellId ff : nl.dffs()) obs_points.push_back(nl.cell(ff).fanins.at(0));
+  // The audit's ternary force probe over the same attacker-view wave (zero
+  // LUT knowledge: every LUT output is X, exactly the ternary domain).
+  const LutKnowledgeMap knowledge = unknown_luts(nl);
+  const PartialEvaluator evaluator(nl, knowledge);
+  ForceProbe probe(evaluator);
+  probe.rebase(wave);
+  const std::vector<CellId>& obs_points = probe.observation_points();
+  const bool have_obs = !obs_points.empty();
 
-  const std::vector<CellId> order = nl.topo_order();
+  const std::vector<CellId>& order = evaluator.order();
   std::vector<std::uint32_t> rank(nl.size(), 0);
   for (std::size_t i = 0; i < order.size(); ++i) {
     rank[order[i]] = static_cast<std::uint32_t>(i);
   }
 
   // -- per-cell facts -------------------------------------------------------
-  std::vector<ConeSet> cones;
+  std::vector<RankCone> cones;
   cones.reserve(luts.size());
-  for (const CellId id : luts) {
-    const Cell& c = nl.cell(id);
-    const int k = c.fanin_count();
-    KeyCellReport rep;
-    rep.cell = id;
-    rep.name = c.name;
-    rep.fanin = k;
-    rep.nominal_bits = static_cast<int>(num_rows(k));
+  {
+    STTLOCK_SPAN("verify", "keydep_cells");
+    std::vector<std::uint64_t> scratch((nl.size() + 63) / 64, 0);
+    for (const CellId id : luts) {
+      const Cell& c = nl.cell(id);
+      const int k = c.fanin_count();
+      KeyCellReport rep;
+      rep.cell = id;
+      rep.name = c.name;
+      rep.fanin = k;
+      rep.nominal_bits = static_cast<int>(num_rows(k));
 
-    for (std::uint32_t row = 0; row < num_rows(k); ++row) {
-      bool reachable = true;
-      for (int i = 0; i < k; ++i) {
-        const Tri v = wave[c.fanins[static_cast<std::size_t>(i)]];
-        const bool bit = row & (1u << i);
-        if ((v == Tri::kOne && !bit) || (v == Tri::kZero && bit)) {
-          reachable = false;
-          break;
-        }
-      }
-      if (reachable) rep.reachable_rows |= (1ull << row);
-    }
-    rep.reachable_count = __builtin_popcountll(rep.reachable_rows);
-
-    // Masked: the cheap structural proof first, then the audit's ternary
-    // force-probe (forcing the cell to 0 vs 1 leaves every observation
-    // point at the same definite value).
-    if (have_obs) {
-      if (!reaches_obs[id]) {
-        rep.masked = true;
-      } else {
-        ForwardDataflow<TernaryDomain> probe0(
-            nl, TernaryDomain{.force_cell = id, .force_value = Tri::kZero});
-        ForwardDataflow<TernaryDomain> probe1(
-            nl, TernaryDomain{.force_cell = id, .force_value = Tri::kOne});
-        const std::vector<Tri>& wave0 = probe0.solve();
-        const std::vector<Tri>& wave1 = probe1.solve();
-        bool masked = true;
-        for (const CellId p : obs_points) {
-          if (!definite(wave0[p]) || wave0[p] != wave1[p]) {
-            masked = false;
+      for (std::uint32_t row = 0; row < num_rows(k); ++row) {
+        bool reachable = true;
+        for (int i = 0; i < k; ++i) {
+          const Tri v = wave[c.fanins[static_cast<std::size_t>(i)]];
+          const bool bit = row & (1u << i);
+          if ((v == Tri::kOne && !bit) || (v == Tri::kZero && bit)) {
+            reachable = false;
             break;
           }
         }
-        rep.masked = masked;
+        if (reachable) rep.reachable_rows |= (1ull << row);
       }
-    }
-    if (opt.support_analysis && have_obs && !cut_state.absorbed[id]) {
-      bool seen = false;
-      for (const CellId p : obs_points) {
-        if (support[p].depends_on(id)) {
-          seen = true;
-          break;
+      rep.reachable_count = __builtin_popcountll(rep.reachable_rows);
+
+      // Masked: the cheap structural proof first, then the force probe
+      // (forcing the cell to 0 vs 1 leaves every observation point at the
+      // same definite value).
+      if (have_obs) {
+        if (!reaches_obs[id]) {
+          rep.masked = true;
+        } else {
+          probe.force(id);
+          rep.masked = probe.masked();
         }
       }
-      rep.vacuous = !seen;
-    }
+      if (opt.support_analysis && have_obs && !cut_state.absorbed[id]) {
+        bool seen = false;
+        for (const CellId p : obs_points) {
+          if (support[p].depends_on(id)) {
+            seen = true;
+            break;
+          }
+        }
+        rep.vacuous = !seen;
+      }
 
-    if (injected_constant_template(nl, id)) {
-      rep.construct = KeyConstruct::kInjectedConstant;
-      rep.unit_propagated = true;
-      rep.propagated_mask = 0;
-    } else if (opt.defense.key_gates.count(std::string(c.name)) != 0) {
-      rep.construct = KeyConstruct::kKeyGate;
-    } else if (opt.defense.decoy_latches.count(std::string(c.name)) != 0) {
-      rep.construct = KeyConstruct::kDecoyLatch;
-    } else if (opt.defense.locked_constants.count(std::string(c.name)) != 0) {
-      rep.construct = KeyConstruct::kLockedConstant;
-    }
+      if (injected_constant_template(nl, id)) {
+        rep.construct = KeyConstruct::kInjectedConstant;
+        rep.unit_propagated = true;
+        rep.propagated_mask = 0;
+      } else if (opt.defense.key_gates.count(std::string(c.name)) != 0) {
+        rep.construct = KeyConstruct::kKeyGate;
+      } else if (opt.defense.decoy_latches.count(std::string(c.name)) != 0) {
+        rep.construct = KeyConstruct::kDecoyLatch;
+      } else if (opt.defense.locked_constants.count(std::string(c.name)) !=
+                 0) {
+        rep.construct = KeyConstruct::kLockedConstant;
+      }
 
-    cones.push_back(fanout_cone(nl, id));
-    rep.cone_size = cones.back().popcount();
-    result.cells.push_back(std::move(rep));
+      cones.push_back(fanout_cone(nl, id, rank, scratch));
+      rep.cone_size = cones.back().popcount();
+      result.cells.push_back(std::move(rep));
+    }
   }
 
   // -- key-interference graph ----------------------------------------------
-  for (std::size_t i = 0; i < luts.size(); ++i) {
-    for (std::size_t j = i + 1; j < luts.size(); ++j) {
-      if (!cones[i].intersects(cones[j])) continue;
-      KeyInterferenceEdge edge;
-      edge.a = luts[i];
-      edge.b = luts[j];
-      edge.series = cones[i].test(luts[j]) || cones[j].test(luts[i]);
-      CellId best = kNullCell;
-      for (const CellId shared : cones[i].intersection(cones[j])) {
-        if (best == kNullCell || rank[shared] < rank[best]) best = shared;
+  // First hit over rank-ordered words: the first shared word decides
+  // `intersects`, and its lowest set bit is the earliest shared cell in
+  // topo order — the convergence point.
+  std::uint64_t pairs_scanned = 0;
+  {
+    STTLOCK_SPAN("verify", "keydep_pairs");
+    for (std::size_t i = 0; i < luts.size(); ++i) {
+      const RankCone& ci = cones[i];
+      for (std::size_t j = i + 1; j < luts.size(); ++j) {
+        const RankCone& cj = cones[j];
+        const std::uint32_t lo = std::max(ci.begin(), cj.begin());
+        const std::uint32_t hi = std::min(ci.end(), cj.end());
+        if (lo >= hi) continue;
+        ++pairs_scanned;
+        const std::uint64_t* a = ci.word(lo);
+        const std::uint64_t* b = cj.word(lo);
+        std::uint32_t w = 0;
+        while (w < hi - lo && (a[w] & b[w]) == 0) ++w;
+        if (w == hi - lo) continue;
+        const std::uint32_t first_shared =
+            ((lo + w) << 6) + static_cast<std::uint32_t>(
+                                  __builtin_ctzll(a[w] & b[w]));
+        KeyInterferenceEdge edge;
+        edge.a = luts[i];
+        edge.b = luts[j];
+        edge.series = ci.test(rank[luts[j]]) || cj.test(rank[luts[i]]);
+        edge.converge = order[first_shared];
+        ++result.cells[i].interference_degree;
+        ++result.cells[j].interference_degree;
+        result.edges.push_back(edge);
       }
-      edge.converge = best;
-      ++result.cells[i].interference_degree;
-      ++result.cells[j].interference_degree;
-      result.edges.push_back(edge);
     }
   }
+  // Deterministic in value, but runtime-tagged: the campaign's stable
+  // metrics block predates these counters and stays byte-identical.
+  static obs::Counter& probes =
+      obs::Metrics::global().counter("verify.keydep.probes", /*stable=*/false);
+  static obs::Counter& probe_cells = obs::Metrics::global().counter(
+      "verify.keydep.probe_cells", /*stable=*/false);
+  static obs::Counter& pairs = obs::Metrics::global().counter(
+      "verify.keydep.pairs_scanned", /*stable=*/false);
+  static obs::Counter& edges =
+      obs::Metrics::global().counter("verify.keydep.edges", /*stable=*/false);
+  probes.add(probe.probes());
+  probe_cells.add(probe.cells_evaluated());
+  pairs.add(pairs_scanned);
+  edges.add(result.edges.size());
 
   // -- series key-gate chains ----------------------------------------------
   // A declared key gate whose output reaches another declared key gate

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "defense/registry.hpp"
+#include "sim/partial_eval.hpp"
 #include "synth/generator.hpp"
 #include "tech/tech_library.hpp"
 #include "verify/dataflow.hpp"
@@ -50,18 +51,15 @@ TEST(TernaryDataflow, ForceProbePinsOneCell) {
   const CellId y = nl.add_gate(CellKind::kAnd, "y", {a, b});
   nl.mark_output(y);
 
-  TernaryDomain domain;
-  domain.force_cell = a;
-  domain.force_value = Tri::kZero;
-  ForwardDataflow<TernaryDomain> solver(nl, domain);
-  const std::vector<Tri>& v = solver.solve();
-  EXPECT_EQ(v[a], Tri::kZero);
-  EXPECT_EQ(v[y], Tri::kZero);  // 0 controls the AND regardless of b
-
-  TernaryDomain one = domain;
-  one.force_value = Tri::kOne;
-  ForwardDataflow<TernaryDomain> solver1(nl, one);
-  EXPECT_EQ(solver1.solve()[y], Tri::kX);  // AND(1, X) = X
+  const LutKnowledgeMap luts = unknown_luts(nl);
+  const PartialEvaluator evaluator(nl, luts);
+  ForceProbe probe(evaluator);
+  ForwardDataflow<TernaryDomain> solver(nl);
+  probe.rebase(solver.solve());
+  probe.force(a);
+  EXPECT_EQ(probe.value(0, a), Tri::kZero);
+  EXPECT_EQ(probe.value(0, y), Tri::kZero);  // 0 controls the AND regardless of b
+  EXPECT_EQ(probe.value(1, y), Tri::kX);     // AND(1, X) = X
 }
 
 TEST(TernaryDataflow, DffOutputsAreUnknownSources) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 #include "attack/registry.hpp"
 #include "core/hybrid.hpp"
@@ -99,6 +100,66 @@ TEST(Keydep, XorLockedBenchIsDegradedWithInterferenceJustification) {
     }
   }
   EXPECT_EQ(count_rule(k.findings, LintRule::kKeySpace), 1);
+}
+
+// The rank-ordered first-hit scan against brute force: explicit cone sets,
+// their full intersection, and the minimum topo rank inside it.
+TEST(Keydep, InterferenceEdgesMatchBruteForceConeIntersection) {
+  for (const std::string& kind : defense::registry().names()) {
+    for (const char* bench : {"s641", "s820", "s1238"}) {
+      SCOPED_TRACE(std::string(bench) + "/" + kind);
+      const defense::DefenseResult r = lock(bench, kind);
+      const Netlist& nl = r.locked;
+      const KeydepResult k = analyze(r);
+
+      const std::vector<CellId> order = nl.topo_order();
+      std::vector<std::size_t> rank(nl.size());
+      for (std::size_t i = 0; i < order.size(); ++i) rank[order[i]] = i;
+      std::vector<CellId> luts;
+      std::vector<std::set<CellId>> cones;
+      for (CellId id = 0; id < nl.size(); ++id) {
+        if (nl.cell(id).kind != CellKind::kLut) continue;
+        luts.push_back(id);
+        std::set<CellId> cone{id};
+        std::vector<CellId> work{id};
+        while (!work.empty()) {
+          const CellId u = work.back();
+          work.pop_back();
+          for (const CellId reader : nl.cell(u).fanouts) {
+            if (nl.cell(reader).kind == CellKind::kDff) continue;
+            if (cone.insert(reader).second) work.push_back(reader);
+          }
+        }
+        cones.push_back(std::move(cone));
+      }
+
+      std::vector<KeyInterferenceEdge> expected;
+      for (std::size_t i = 0; i < luts.size(); ++i) {
+        EXPECT_EQ(k.cells[i].cone_size, static_cast<int>(cones[i].size()));
+        for (std::size_t j = i + 1; j < luts.size(); ++j) {
+          CellId converge = kNullCell;
+          for (const CellId c : cones[i]) {
+            if (!cones[j].count(c)) continue;
+            if (converge == kNullCell || rank[c] < rank[converge]) converge = c;
+          }
+          if (converge == kNullCell) continue;
+          KeyInterferenceEdge e;
+          e.a = luts[i];
+          e.b = luts[j];
+          e.converge = converge;
+          e.series = cones[i].count(luts[j]) || cones[j].count(luts[i]);
+          expected.push_back(e);
+        }
+      }
+      ASSERT_EQ(k.edges.size(), expected.size());
+      for (std::size_t e = 0; e < expected.size(); ++e) {
+        EXPECT_EQ(k.edges[e].a, expected[e].a);
+        EXPECT_EQ(k.edges[e].b, expected[e].b);
+        EXPECT_EQ(k.edges[e].converge, expected[e].converge);
+        EXPECT_EQ(k.edges[e].series, expected[e].series);
+      }
+    }
+  }
 }
 
 // -- the oracle-free static attack ------------------------------------------

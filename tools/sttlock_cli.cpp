@@ -30,11 +30,13 @@
 //                    byte-identical to the uninterrupted single run)
 //   sttlock lint    --in h.bench [--json report.json] [--strict] [--no-audit]
 //   sttlock lint    --gen s641,s820 --defense parametric --seed 7
+//                   [--trace t.json --metrics m.json]
 //                   (generate + defend + lint each defense's output;
 //                    --gen all covers the whole ISCAS'89 set)
 //   sttlock analyze --in h.bench [--annotations a.txt] [--out report.json]
 //   sttlock analyze --gen s641,s820 --defense xor:count=16,const --seed 7
 //                   [--jobs 8] [--json] [--quiet]
+//                   [--trace t.json --metrics m.json]
 //                   (key-dependency dataflow analysis, KEY001-KEY008;
 //                    --gen all / --defense all sweep the full grid)
 //   sttlock <command> --help          (the command's options)
@@ -594,10 +596,11 @@ int cmd_lint(const std::vector<std::string>& args) {
   p.add_option("--json", "machine-readable report output path", "");
   p.add_flag("--strict", "treat warnings as errors in the exit code");
   p.add_flag("--no-audit", "structural layer only (skip the security audit)");
-  cli::CommonOptions common_opt(p, cli::kQuiet);
+  cli::CommonOptions common_opt(p, cli::kObs | cli::kQuiet);
   p.parse(args);
   common_opt.load(p);
 
+  ObsCapture capture(common_opt);
   LintOptions opt;
   opt.run_audit = !p.flag("--no-audit");
   opt.audit.resolvability_threshold = p.get_double("--scoap-threshold");
@@ -630,6 +633,8 @@ int cmd_lint(const std::vector<std::string>& args) {
         [&](const Netlist& clean) { lint_one(clean, {}); },
         [&](defense::DefenseResult& r) { lint_one(r.locked, r.annotations); });
   }
+
+  capture.finish();
 
   if (reports.empty()) {
     std::fprintf(stderr, "lint: nothing to do (pass --in or --gen)\n");
@@ -672,10 +677,12 @@ int cmd_analyze(const std::vector<std::string>& args) {
   p.add_option("--out", "machine-readable report output path", "");
   p.add_flag("--no-support",
              "skip the support-function pass (KEY008 vacuousness)");
-  cli::CommonOptions common_opt(p, cli::kJobs | cli::kQuiet | cli::kJson);
+  cli::CommonOptions common_opt(
+      p, cli::kJobs | cli::kObs | cli::kQuiet | cli::kJson);
   p.parse(args);
   common_opt.load(p);
 
+  ObsCapture capture(common_opt);
   struct AnalyzeTask {
     std::string name;
     Netlist nl;
@@ -730,6 +737,7 @@ int cmd_analyze(const std::vector<std::string>& args) {
     ThreadPoolParallelFor par(pool);
     par.run(tasks.size(), analyze_at);
   }
+  capture.finish();
 
   int failed = 0;
   for (std::size_t i = 0; i < tasks.size(); ++i) {
