@@ -15,7 +15,7 @@
 #include "attack/sat_attack.hpp"
 #include "attack/seq_attack.hpp"
 #include "core/hybrid.hpp"
-#include "sim/simulator.hpp"
+#include "sim/compiled.hpp"
 #include "synth/generator.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -52,15 +52,22 @@ bool key_correct_sequentially(const Netlist& view, const LutKey& key,
                               const Netlist& original) {
   Netlist recovered = view;
   apply_key(recovered, key);
-  SequentialSimulator sa(recovered);
-  SequentialSimulator sb(original);
-  sa.reset(false);
-  sb.reset(false);
+  const CompiledSim sa(recovered);
+  const CompiledSim sb(original);
+  std::vector<std::uint64_t> state_a(sa.num_dffs(), 0);
+  std::vector<std::uint64_t> state_b(sb.num_dffs(), 0);
+  std::vector<std::uint64_t> wave_a(sa.wave_size()), wave_b(sb.wave_size());
   Rng rng(99);
   std::vector<std::uint64_t> pi(original.inputs().size());
   for (int t = 0; t < 64; ++t) {
     for (auto& w : pi) w = rng();
-    if (sa.step(pi) != sb.step(pi)) return false;
+    sa.step(pi, state_a, wave_a);
+    sb.step(pi, state_b, wave_b);
+    for (std::size_t o = 0; o < sa.num_outputs(); ++o) {
+      if (wave_a[sa.output_cells()[o]] != wave_b[sb.output_cells()[o]]) {
+        return false;
+      }
+    }
   }
   return true;
 }

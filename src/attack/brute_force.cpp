@@ -6,7 +6,6 @@
 
 #include "core/similarity.hpp"
 #include "obs/obs.hpp"
-#include "sim/simulator.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 

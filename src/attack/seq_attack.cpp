@@ -1,35 +1,38 @@
 #include "attack/seq_attack.hpp"
 
+#include <algorithm>
 #include <optional>
 #include <stdexcept>
 
 #include "attack/encode.hpp"
 #include "obs/obs.hpp"
-#include "sim/simulator.hpp"
 #include "util/timer.hpp"
 
 namespace stt {
 
 SequenceOracle::SequenceOracle(const Netlist& configured)
-    : nl_(&configured),
-      sim_(configured),
-      pi_buf_(configured.inputs().size(), 0),
-      po_buf_(configured.outputs().size(), 0) {}
+    : sim_(configured),
+      state_(sim_.num_dffs(), 0),
+      pi_buf_(sim_.num_inputs(), 0),
+      wave_(sim_.wave_size(), 0) {}
 
 std::vector<std::vector<bool>> SequenceOracle::query(
     const std::vector<std::vector<bool>>& pi_seq) {
-  sim_.reset(false);
+  std::fill(state_.begin(), state_.end(), 0);
   std::vector<std::vector<bool>> result;
   result.reserve(pi_seq.size());
-  const std::size_t n_pi = nl_->inputs().size();
+  const std::size_t n_pi = pi_buf_.size();
   for (const auto& pi : pi_seq) {
     if (pi.size() != n_pi) {
       throw std::invalid_argument("SequenceOracle: PI vector size mismatch");
     }
     for (std::size_t i = 0; i < n_pi; ++i) pi_buf_[i] = pi[i] ? ~0ull : 0ull;
-    sim_.step_into(pi_buf_, po_buf_);
-    std::vector<bool> bits(po_buf_.size());
-    for (std::size_t o = 0; o < po_buf_.size(); ++o) bits[o] = po_buf_[o] & 1ull;
+    sim_.step(pi_buf_, state_, wave_);
+    const std::span<const CellId> outputs = sim_.output_cells();
+    std::vector<bool> bits(outputs.size());
+    for (std::size_t o = 0; o < outputs.size(); ++o) {
+      bits[o] = wave_[outputs[o]] & 1ull;
+    }
     result.push_back(std::move(bits));
     ++cycles_;
   }

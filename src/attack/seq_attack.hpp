@@ -17,7 +17,7 @@
 
 #include "attack/sat_attack.hpp"
 #include "netlist/netlist.hpp"
-#include "sim/simulator.hpp"
+#include "sim/compiled.hpp"
 
 namespace stt {
 
@@ -36,10 +36,10 @@ class SequenceOracle {
   std::uint64_t cycles() const { return cycles_; }
 
  private:
-  const Netlist* nl_;
-  SequentialSimulator sim_;            ///< compiled once, reset per query
+  CompiledSim sim_;                    ///< compiled once
+  std::vector<std::uint64_t> state_;   ///< reset to zero per query
   std::vector<std::uint64_t> pi_buf_;  ///< reused per-cycle scratch
-  std::vector<std::uint64_t> po_buf_;
+  std::vector<std::uint64_t> wave_;
   std::uint64_t cycles_ = 0;
 };
 

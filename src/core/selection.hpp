@@ -79,7 +79,9 @@ struct SelectionResult {
 
 class GateSelector {
  public:
+  /// Keeps a pointer to `lib`, which must outlive the selector.
   explicit GateSelector(const TechLibrary& lib) : lib_(&lib) {}
+  explicit GateSelector(const TechLibrary&&) = delete;
 
   /// Run one algorithm, mutating `nl` into the hybrid netlist (LUTs
   /// configured to preserve functionality). The netlist must be a pure-CMOS

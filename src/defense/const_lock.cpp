@@ -3,7 +3,8 @@
 //
 // ASSURE hides the constants of a design behind key bits. At gate level
 // that means two moves, both expressed with the attacker-view ternary
-// propagation the lint audit uses (TernarySimulator with unknown LUTs):
+// evaluation the lint audit uses (PartialEvaluator with zero LUT knowledge,
+// so every LUT output is X):
 //
 //  * convert: any gate whose output is *statically constant* under all-X
 //    inputs is rewritten in place into a key-fed LUT configured to that
@@ -20,7 +21,7 @@
 
 #include "defense/registry.hpp"
 #include "netlist/cleanup.hpp"
-#include "sim/ternary.hpp"
+#include "sim/partial_eval.hpp"
 #include "util/rng.hpp"
 
 namespace stt::defense {
@@ -29,10 +30,9 @@ namespace {
 
 /// All-X attacker-view wave over the combinational fabric.
 std::vector<Tri> all_x_wave(const Netlist& nl) {
-  const TernarySimulator tsim(nl, /*lut_unknown=*/true);
-  const std::vector<Tri> pi(nl.inputs().size(), Tri::kX);
-  const std::vector<Tri> ff(nl.dffs().size(), Tri::kX);
-  return tsim.eval_comb(pi, ff);
+  const LutKnowledgeMap luts = unknown_luts(nl);
+  return PartialEvaluator(nl, luts).eval(
+      std::vector<Tri>(nl.inputs().size() + nl.dffs().size(), Tri::kX));
 }
 
 bool definite(Tri t) { return t != Tri::kX; }

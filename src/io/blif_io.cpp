@@ -325,6 +325,15 @@ Netlist read_blif(std::string_view text, std::string fallback_name) {
   }
   try {
     nl.finalize();
+  } catch (const CombinationalCycleError& e) {
+    // A latch output is a sequential source and never lies on a
+    // combinational cycle, so the named cell is always a .names block.
+    int line = 0;
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      if (nl.cell(block_cells[i]).name == e.cell) line = blocks[i].line;
+    }
+    throw BlifParseError("combinational cycle through '" + e.cell + "'",
+                         line);
   } catch (const std::exception& e) {
     throw BlifParseError(e.what(), 0);
   }

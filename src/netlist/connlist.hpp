@@ -19,6 +19,7 @@
 // parses is bounded by the editing passes that cause it.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
@@ -44,7 +45,11 @@ class ConnPool {
       ++cursor_;
     }
     if (cursor_ == chunks_.size()) {
-      const std::size_t cap = n > kChunkIds ? n : kChunkIds;
+      // Chunks grow with the pool, from kFirstChunkIds up to kChunkIds, so
+      // a small netlist holds a few KiB of pool rather than a whole chunk.
+      const std::size_t grow =
+          std::clamp(capacity_ids(), kFirstChunkIds, kChunkIds);
+      const std::size_t cap = n > grow ? n : grow;
       chunks_.push_back({std::make_unique<CellId[]>(cap), 0, cap});
     }
     Chunk& c = chunks_[cursor_];
@@ -74,6 +79,7 @@ class ConnPool {
   }
 
  private:
+  static constexpr std::size_t kFirstChunkIds = std::size_t{1} << 10;
   static constexpr std::size_t kChunkIds = std::size_t{1} << 16;
   struct Chunk {
     std::unique_ptr<CellId[]> data;

@@ -100,7 +100,7 @@ unsigned shard_index() noexcept {
   return idx;
 }
 
-thread_local CaptureFrame* t_capture = nullptr;
+constinit thread_local CaptureFrame* t_capture = nullptr;
 
 void capture_add(const Counter* c, std::uint64_t v) {
   t_capture->counters[c] += v;

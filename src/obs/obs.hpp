@@ -108,8 +108,11 @@ struct CaptureFrame {
 
 /// Innermost active capture frame of this thread (nullptr = none). Checked
 /// with a plain thread_local load on every Counter::add / Histogram::record,
-/// so idle cost is one predictable branch.
-extern thread_local CaptureFrame* t_capture;
+/// so idle cost is one predictable branch. `constinit` tells other
+/// translation units there is no dynamic initializer, so they load the
+/// variable directly rather than through GCC's TLS wrapper call, under
+/// which UBSan reports a false null-pointer load.
+extern constinit thread_local CaptureFrame* t_capture;
 
 void capture_add(const Counter* c, std::uint64_t v);
 void capture_record(const Histogram* h, std::uint64_t v);

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "sim/simulator.hpp"
+#include "sim/compiled.hpp"
 
 namespace stt {
 
@@ -60,18 +60,18 @@ PowerTraceResult simulate_power_trace(const Netlist& nl,
     }
   }
 
-  SequentialSimulator sim(nl);
-  sim.reset(false);
+  const CompiledSim sim(nl);
   const std::size_t n_pi = nl.inputs().size();
   std::vector<std::uint64_t> pi(n_pi, 0);
-  std::vector<std::uint64_t> po(nl.outputs().size());  // reused scratch
+  std::vector<std::uint64_t> sim_state(nl.dffs().size(), 0);
+  std::vector<std::uint64_t> wave(nl.size());
   std::vector<std::uint64_t> prev_wave;
 
   for (int cycle = 0; cycle < opt.cycles; ++cycle) {
     // Record state *before* the cycle, then apply a new PI vector.
     std::vector<bool> state(nl.dffs().size());
     for (std::size_t j = 0; j < state.size(); ++j) {
-      state[j] = sim.state()[j] & 1ull;
+      state[j] = sim_state[j] & 1ull;
     }
     for (auto& w : pi) {
       if (rng.chance(opt.input_toggle)) w ^= 1ull;
@@ -79,8 +79,7 @@ PowerTraceResult simulate_power_trace(const Netlist& nl,
     std::vector<bool> pi_vec(n_pi);
     for (std::size_t i = 0; i < n_pi; ++i) pi_vec[i] = pi[i] & 1ull;
 
-    sim.step_into(pi, po);
-    const auto wave = sim.last_wave();
+    sim.step(pi, sim_state, wave);
 
     double energy = leak_baseline;
     if (!prev_wave.empty()) {

@@ -153,12 +153,16 @@ void run_attack_stage(TrialRecord& row, const Netlist& hybrid,
 /// attacker's foundry view of the locked netlist and (when the attack axis
 /// has scan-oracle attacks) one CompiledSim lowering of the configured
 /// chip. Built once by the group's defense job, shared read-only by all of
-/// its attack rows; `uses` counts consumers for the savings estimate.
+/// its attack rows; `uses` counts consumers for the savings estimate. The
+/// last of the group's `readers` (its attack jobs) drops the assets and the
+/// locked result.
 struct GroupAssets {
   std::shared_ptr<const Netlist> view;
   std::shared_ptr<const CompiledSim> oracle_sim;
   double build_ms = 0;
+  bool built = false;
   mutable std::atomic<std::uint64_t> uses{0};
+  std::atomic<std::size_t> readers{0};
 };
 
 }  // namespace
@@ -273,7 +277,11 @@ CampaignReport run_campaign(const CampaignSpec& spec) {
   // GroupAssets slot beside each locked result is the dedup cache: the
   // attacker's foundry view and (for scan-oracle attacks) one CompiledSim
   // lowering, built once per group and shared by every attack row of it.
+  // The last job reading a circuit (its defense jobs) or a group (its
+  // attack jobs) drops it, so a campaign holds the groups in flight, not
+  // the whole grid.
   std::vector<std::shared_ptr<const Netlist>> circuits(n_bench * n_trial);
+  std::vector<std::atomic<std::size_t>> circuit_readers(n_bench * n_trial);
   std::vector<std::shared_ptr<const defense::DefenseResult>> locked(
       n_bench * n_def * n_trial);
   std::vector<GroupAssets> assets(n_bench * n_def * n_trial);
@@ -409,6 +417,7 @@ CampaignReport run_campaign(const CampaignSpec& spec) {
           row.circuit_seed = circuit_seed;
         }
         if (!def_needed[d]) continue;
+        ++circuit_readers[circuit_index];
         const std::string defense_label =
             profile.name + "/" + axis.kind + "/t" + std::to_string(t);
         const std::string def_key =
@@ -417,9 +426,10 @@ CampaignReport run_campaign(const CampaignSpec& spec) {
             std::to_string(t);
         const JobId defense_job = graph.add(
             "flow/" + defense_label,
-            [&spec, &lib, &circuits, &report, &locked, &assets, &record_stage,
-             circuit_index, def_index, row0, n_att, n_trial, axis, d, t,
-             def_key, axis_has_attack, axis_has_oracle](JobContext&) {
+            [&spec, &lib, &circuits, &circuit_readers, &report, &locked,
+             &assets, &record_stage, circuit_index, def_index, row0, n_att,
+             n_trial, axis, d, t, def_key, axis_has_attack,
+             axis_has_oracle](JobContext&) {
               const Netlist& original = *circuits[circuit_index];
               TrialRecord& first = report.rows[row0];
               const auto seed_for = [&spec, &first, d, t](int attempt) {
@@ -500,7 +510,12 @@ CampaignReport run_campaign(const CampaignSpec& spec) {
                         locked[def_index]->locked);
                   }
                   cache.build_ms = build_timer.millis();
+                  cache.built = true;
                 }
+              }
+              if (circuit_readers[circuit_index].fetch_sub(
+                      1, std::memory_order_acq_rel) == 1) {
+                circuits[circuit_index].reset();
               }
               // Fan the shared defense/lint columns out to the group's
               // other attack rows; only `attack` differs at this point.
@@ -517,6 +532,7 @@ CampaignReport run_campaign(const CampaignSpec& spec) {
         for (std::size_t a = 0; a < n_att; ++a) {
           const std::size_t row_index = row0 + a * n_trial;
           if (!owned[row_index] || resumed[row_index]) continue;
+          ++assets[def_index].readers;
           std::string label = profile.name + "/" + axis.kind;
           if (n_att > 1) label += "/" + report.attacks[a];
           label += "/t" + std::to_string(t);
@@ -552,6 +568,13 @@ CampaignReport run_campaign(const CampaignSpec& spec) {
                     row.ok = false;
                     row.error = "attack: " + std::string(e.what());
                   }
+                }
+                GroupAssets& group = assets[def_index];
+                if (group.readers.fetch_sub(1, std::memory_order_acq_rel) ==
+                    1) {
+                  locked[def_index].reset();
+                  group.view.reset();
+                  group.oracle_sim.reset();
                 }
                 trial_deltas[row_index] = capture.stable_delta();
                 row.flow_ms += attack_timer.millis();
@@ -611,7 +634,7 @@ CampaignReport run_campaign(const CampaignSpec& spec) {
   // every use past the first reused a ~`build_ms` setup the old per-row
   // path would have repeated.
   for (const GroupAssets& cache : assets) {
-    if (!cache.view) continue;
+    if (!cache.built) continue;
     ++report.profile.cache_builds;
     const std::uint64_t uses = cache.uses.load(std::memory_order_relaxed);
     if (uses > 1) {

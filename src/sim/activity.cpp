@@ -2,21 +2,22 @@
 
 #include <bit>
 
-#include "sim/simulator.hpp"
+#include "sim/compiled.hpp"
 
 namespace stt {
 
 ActivityResult estimate_activity(const Netlist& nl, Rng& rng,
                                  const ActivityOptions& opt) {
-  SequentialSimulator sim(nl);
+  const CompiledSim sim(nl);
   const auto n_pi = nl.inputs().size();
 
   std::vector<std::uint64_t> pi(n_pi, 0);
   for (auto& w : pi) w = rng();
 
+  std::vector<std::uint64_t> state(nl.dffs().size(), 0);
+  std::vector<std::uint64_t> wave(nl.size());
   std::vector<std::uint64_t> prev_wave;
   std::vector<std::uint64_t> toggles(nl.size(), 0);
-  std::vector<std::uint64_t> po(nl.outputs().size());  // reused scratch
 
   const int total = opt.warmup + opt.cycles;
   for (int cycle = 0; cycle < total; ++cycle) {
@@ -28,8 +29,7 @@ ActivityResult estimate_activity(const Netlist& nl, Rng& rng,
       }
       w ^= flip;
     }
-    sim.step_into(pi, po);
-    const auto wave = sim.last_wave();
+    sim.step(pi, state, wave);
     if (cycle >= opt.warmup && !prev_wave.empty()) {
       for (std::size_t id = 0; id < wave.size(); ++id) {
         toggles[id] += std::popcount(wave[id] ^ prev_wave[id]);

@@ -111,8 +111,7 @@ simk::Op CompiledSim::opcode_for(const Cell& cell) {
 }
 
 CompiledSim::CompiledSim(const Netlist& nl)
-    : nl_(&nl),
-      n_cells_(nl.size()),
+    : n_cells_(nl.size()),
       inputs_(nl.inputs().begin(), nl.inputs().end()),
       dffs_(nl.dffs().begin(), nl.dffs().end()),
       outputs_(nl.outputs().begin(), nl.outputs().end()) {
@@ -137,9 +136,8 @@ CompiledSim::CompiledSim(const Netlist& nl)
     instr_of_[id] = static_cast<std::uint32_t>(instrs_.size());
     instrs_.push_back(ins);
   }
-  // The vectors never reallocate after lowering (set_lut_mask and
-  // resync_functions mutate elements in place), so this view stays valid
-  // for the engine's lifetime.
+  // The vectors never reallocate after lowering (set_lut_mask mutates
+  // elements in place), so this view stays valid for the engine's lifetime.
   stream_.instrs = instrs_.data();
   stream_.n_instrs = instrs_.size();
   stream_.fanins = fanins_.data();
@@ -170,23 +168,6 @@ std::uint64_t CompiledSim::lut_mask(CellId id) const {
   return instrs_[idx].mask;
 }
 
-void CompiledSim::resync_functions() {
-  for (simk::Instr& ins : instrs_) {
-    const Cell& c = nl_->cell(ins.out);
-    if (c.fanin_count() != static_cast<int>(ins.fanin_count)) {
-      throw std::runtime_error(
-          "CompiledSim::resync_functions: netlist structure changed");
-    }
-    const simk::Op op = opcode_for(c);
-    const std::uint64_t mask =
-        c.kind == CellKind::kLut ? (c.lut_mask & full_mask(c.fanin_count()))
-                                 : 0;
-    // Write only on change so read-only concurrent use stays data-race free.
-    if (ins.op != op) ins.op = op;
-    if (ins.mask != mask) ins.mask = mask;
-  }
-}
-
 void CompiledSim::eval_word(std::span<const std::uint64_t> pi,
                             std::span<const std::uint64_t> ff,
                             std::span<std::uint64_t> wave) const {
@@ -203,6 +184,15 @@ void CompiledSim::eval_word(std::span<const std::uint64_t> pi,
   wc.lane_words->add(1);
   kernel_for(isa)(stream_, pi.data(), ff.data(), wave.data(), /*stride=*/1,
                   /*w0=*/0, /*nw=*/1);
+}
+
+void CompiledSim::step(std::span<const std::uint64_t> pi,
+                       std::span<std::uint64_t> state,
+                       std::span<std::uint64_t> wave) const {
+  eval_word(pi, state, wave);
+  for (std::size_t j = 0; j < ns_cells_.size(); ++j) {
+    state[j] = wave[ns_cells_[j]];
+  }
 }
 
 void CompiledSim::eval_batch(std::size_t W, std::span<const std::uint64_t> pi,

@@ -27,10 +27,10 @@
 // which is what the key-guessing attack loops (brute force, ML, DPA) need:
 // compile once, mutate the candidate key, re-evaluate.
 //
-// The engine snapshots the netlist *structure* at construction. Function
-// changes that keep every cell's fan-in list intact (LUT mask edits,
-// gate -> LUT conversion via `replace_with_lut`) can be absorbed with
-// `resync_functions`; anything structural requires a fresh `CompiledSim`.
+// The engine snapshots the netlist at construction: later edits to the
+// netlist (masks included) are not seen; patch masks with `set_lut_mask` or
+// lower a fresh `CompiledSim`. Sequential simulation is `step`: one clock of
+// 64 parallel trajectories whose state the caller owns.
 #pragma once
 
 #include <algorithm>
@@ -101,11 +101,9 @@ class CompiledSim {
   static void set_batch_block_override(std::size_t words);
   static std::size_t batch_block_override();
 
-  /// Lower `nl` into the instruction stream. The netlist must outlive the
-  /// engine (it is re-read by `resync_functions` only).
+  /// Lower `nl` into the instruction stream. The engine keeps no reference
+  /// to `nl`.
   explicit CompiledSim(const Netlist& nl);
-
-  const Netlist& netlist() const { return *nl_; }
 
   /// Rows in a wave buffer: one per netlist cell, indexed by CellId, so
   /// existing per-cell consumers (activity counting, DPA's wave[target])
@@ -129,16 +127,19 @@ class CompiledSim {
   void set_lut_mask(CellId id, std::uint64_t mask);
   std::uint64_t lut_mask(CellId id) const;
 
-  /// Re-read every cell's kind and LUT mask from the netlist, re-deriving
-  /// opcodes. Absorbs mask edits and in-place gate<->LUT conversions; the
-  /// fan-in structure must be unchanged (unchecked in release builds).
-  void resync_functions();
-
   /// Evaluate one word of 64 patterns into `wave` (size wave_size()); no
   /// allocation. `pi[i]` feeds input_cells()[i], `ff[j]` dff_cells()[j].
   void eval_word(std::span<const std::uint64_t> pi,
                  std::span<const std::uint64_t> ff,
                  std::span<std::uint64_t> wave) const;
+
+  /// One clock of 64 trajectories: `eval_word` with `state` as the
+  /// flip-flop outputs, then latch the next state (the D-pin values) into
+  /// `state` (size num_dffs()). `wave` keeps the cycle's per-cell values,
+  /// primary outputs included.
+  void step(std::span<const std::uint64_t> pi,
+            std::span<std::uint64_t> state,
+            std::span<std::uint64_t> wave) const;
 
   /// Evaluate W words in the blocked layout: element (row r, word w) of
   /// `wave` (size wave_size()*W) is wave[r*W + w]; `pi` (num_inputs()*W)
@@ -162,7 +163,6 @@ class CompiledSim {
  private:
   static simk::Op opcode_for(const Cell& cell);
 
-  const Netlist* nl_;
   std::size_t n_cells_ = 0;
   std::vector<simk::Instr> instrs_;      ///< topological order
   std::vector<std::uint32_t> fanins_;    ///< CSR fan-in wave rows

@@ -26,7 +26,7 @@ Tri PartialEvaluator::eval_partial_lut(CellId id,
   const auto it = luts_->find(id);
   if (it == luts_->end()) {
     // Not tracked: treat as configured.
-    return eval_cell_tri(nl_->cell(id), fin, false);
+    return eval_cell_tri(nl_->cell(id), fin);
   }
   const LutKnowledge& st = it->second;
   // The output is known only when every input-consistent row is resolved
@@ -53,7 +53,7 @@ Tri PartialEvaluator::eval_partial_lut(CellId id,
 Tri PartialEvaluator::eval_cell(CellId id, std::span<const Tri> fin) const {
   const Cell& c = nl_->cell(id);
   if (c.kind == CellKind::kLut) return eval_partial_lut(id, fin);
-  return eval_cell_tri(c, fin, false);
+  return eval_cell_tri(c, fin);
 }
 
 std::vector<Tri> PartialEvaluator::eval(const std::vector<Tri>& inputs) const {

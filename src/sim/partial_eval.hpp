@@ -1,9 +1,11 @@
 // Partially-resolved LUT state and conservative three-valued evaluation
-// around it. Shared by the testing attacks (sensitization, guided-sens,
-// DIP encoding) and by the verify layer's audit and key-dependency pass —
-// it lives in sim so that verify does not depend on attack (the attack
-// registry's oracle-free `static` kind depends on verify/keydep the other
-// way around).
+// around it: the one whole-netlist 0/1/X evaluator. With `unknown_luts`
+// knowledge it is the foundry attacker's view (every LUT output X); with an
+// empty knowledge map it evaluates the configured chip. Shared by the
+// testing attacks (sensitization, guided-sens, DIP encoding), the `const`
+// defense, and the verify layer's audit and key-dependency pass — it lives
+// in sim so that verify does not depend on attack (the attack registry's
+// oracle-free `static` kind depends on verify/keydep the other way around).
 #pragma once
 
 #include <cstdint>

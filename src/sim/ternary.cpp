@@ -13,9 +13,7 @@ char tri_char(Tri t) {
   return '?';
 }
 
-Tri eval_cell_tri(const Cell& cell, std::span<const Tri> fanins,
-                  bool lut_unknown) {
-  if (cell.kind == CellKind::kLut && lut_unknown) return Tri::kX;
+Tri eval_cell_tri(const Cell& cell, std::span<const Tri> fanins) {
   const int n = static_cast<int>(fanins.size());
   if (n > kMaxLutInputs) {
     // Wide standard gates: direct Kleene evaluation (no mask fits).
@@ -74,56 +72,6 @@ Tri eval_cell_tri(const Cell& cell, std::span<const Tri> fanins,
     if (saw0 && saw1) return Tri::kX;
   }
   return saw1 ? Tri::kOne : Tri::kZero;
-}
-
-TernarySimulator::TernarySimulator(const Netlist& nl, bool lut_unknown)
-    : nl_(&nl), order_(nl.topo_order()), lut_unknown_(lut_unknown) {}
-
-std::vector<Tri> TernarySimulator::eval_comb(std::span<const Tri> pi_values,
-                                             std::span<const Tri> ff_values) const {
-  const Netlist& nl = *nl_;
-  if (pi_values.size() != nl.inputs().size() ||
-      ff_values.size() != nl.dffs().size()) {
-    throw std::invalid_argument("TernarySimulator: stimulus size mismatch");
-  }
-  std::vector<Tri> wave(nl.size(), Tri::kX);
-  for (std::size_t i = 0; i < pi_values.size(); ++i) {
-    wave[nl.inputs()[i]] = pi_values[i];
-  }
-  for (std::size_t j = 0; j < ff_values.size(); ++j) {
-    wave[nl.dffs()[j]] = ff_values[j];
-  }
-  Tri fin[kMaxGateInputs];
-  for (const CellId id : order_) {
-    const Cell& c = nl.cell(id);
-    if (c.kind == CellKind::kInput || c.kind == CellKind::kDff) continue;
-    if (c.kind == CellKind::kConst0) {
-      wave[id] = Tri::kZero;
-      continue;
-    }
-    if (c.kind == CellKind::kConst1) {
-      wave[id] = Tri::kOne;
-      continue;
-    }
-    const int n = c.fanin_count();
-    for (int i = 0; i < n; ++i) fin[i] = wave[c.fanins[i]];
-    wave[id] = eval_cell_tri(c, std::span<const Tri>(fin, n), lut_unknown_);
-  }
-  return wave;
-}
-
-std::vector<Tri> TernarySimulator::outputs_of(std::span<const Tri> wave) const {
-  std::vector<Tri> out;
-  out.reserve(nl_->outputs().size());
-  for (const CellId id : nl_->outputs()) out.push_back(wave[id]);
-  return out;
-}
-
-std::vector<Tri> TernarySimulator::next_state_of(std::span<const Tri> wave) const {
-  std::vector<Tri> out;
-  out.reserve(nl_->dffs().size());
-  for (const CellId id : nl_->dffs()) out.push_back(wave[nl_->cell(id).fanins.at(0)]);
-  return out;
 }
 
 }  // namespace stt

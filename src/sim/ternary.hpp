@@ -1,14 +1,13 @@
-// Three-valued (0/1/X) scalar simulation.
+// Three-valued (0/1/X) values and the Kleene evaluation of one cell.
 //
-// Used where unknowns are semantically meaningful: power-up state before
-// reset, and the sensitization attack's justification reasoning, where an
-// unconfigured LUT's output is X by definition (the attacker does not know
-// the configuration).
+// Whole-netlist three-valued evaluation is sim/partial_eval's
+// PartialEvaluator: an unconfigured LUT's output is X by definition there
+// (the attacker does not know the configuration), and unknown inputs or
+// power-up state are X as well.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "netlist/netlist.hpp"
 
@@ -19,27 +18,9 @@ enum class Tri : std::uint8_t { kZero = 0, kOne = 1, kX = 2 };
 inline Tri tri_from_bool(bool b) { return b ? Tri::kOne : Tri::kZero; }
 char tri_char(Tri t);
 
-/// Kleene evaluation of one cell: result is X exactly when both 0 and 1 are
-/// achievable over the unknown inputs. `lut_unknown` forces LUT cells to X
-/// regardless of inputs (the attacker's view of a hybrid netlist).
-Tri eval_cell_tri(const Cell& cell, std::span<const Tri> fanins,
-                  bool lut_unknown);
-
-class TernarySimulator {
- public:
-  explicit TernarySimulator(const Netlist& nl, bool lut_unknown = false);
-
-  /// Evaluate the combinational fabric. Sizes must match inputs()/dffs().
-  std::vector<Tri> eval_comb(std::span<const Tri> pi_values,
-                             std::span<const Tri> ff_values) const;
-
-  std::vector<Tri> outputs_of(std::span<const Tri> wave) const;
-  std::vector<Tri> next_state_of(std::span<const Tri> wave) const;
-
- private:
-  const Netlist* nl_;
-  std::vector<CellId> order_;
-  bool lut_unknown_;
-};
+/// Kleene evaluation of one cell as configured (a LUT through its mask):
+/// the result is X exactly when both 0 and 1 are achievable over the
+/// unknown inputs.
+Tri eval_cell_tri(const Cell& cell, std::span<const Tri> fanins);
 
 }  // namespace stt

@@ -28,7 +28,9 @@ struct TimingResult {
 
 class Sta {
  public:
+  /// Keeps a pointer to `lib`, which must outlive the analyzer.
   explicit Sta(const TechLibrary& lib) : lib_(&lib) {}
+  explicit Sta(const TechLibrary&&) = delete;
 
   /// Propagation delay of one cell including its fan-out load term.
   double cell_delay_ps(const Netlist& nl, CellId id) const;

@@ -6,86 +6,6 @@
 namespace stt {
 
 // ---------------------------------------------------------------------------
-// TernaryDomain
-// ---------------------------------------------------------------------------
-
-Tri TernaryDomain::source(const Netlist& /*nl*/, CellId /*id*/) const {
-  return Tri::kX;
-}
-
-Tri TernaryDomain::transfer(const Netlist& nl, CellId id,
-                            std::span<const Tri> fanins) const {
-  const Cell& c = nl.cell(id);
-  if (c.kind == CellKind::kConst0) return Tri::kZero;
-  if (c.kind == CellKind::kConst1) return Tri::kOne;
-  return eval_cell_tri(c, fanins, lut_unknown);
-}
-
-// ---------------------------------------------------------------------------
-// IntervalDomain
-// ---------------------------------------------------------------------------
-
-BitInterval IntervalDomain::source(const Netlist& /*nl*/,
-                                   CellId /*id*/) const {
-  return BitInterval::top();
-}
-
-BitInterval IntervalDomain::transfer(const Netlist& nl, CellId id,
-                                     std::span<const BitInterval> fanins)
-    const {
-  const Cell& c = nl.cell(id);
-  if (c.kind == CellKind::kConst0) return BitInterval::constant(false);
-  if (c.kind == CellKind::kConst1) return BitInterval::constant(true);
-  if (c.kind == CellKind::kLut && lut_unknown) return BitInterval::top();
-
-  const int n = static_cast<int>(fanins.size());
-
-  // Corner enumeration over the non-constant inputs: the output interval is
-  // [min, max] over every completion, exact for any single-output function.
-  // Wide gates fall back to the ternary transfer (identical result, no
-  // 2^free blowup) once the free-input count passes the mask width.
-  int free_positions[kMaxLutInputs];
-  int n_free = 0;
-  std::uint32_t base_row = 0;
-  bool too_wide = n > kMaxLutInputs;
-  for (int i = 0; i < n && !too_wide; ++i) {
-    const BitInterval& v = fanins[static_cast<std::size_t>(i)];
-    if (v.is_constant()) {
-      if (v.lo) base_row |= (1u << i);
-    } else if (n_free < kMaxLutInputs) {
-      free_positions[n_free++] = i;
-    } else {
-      too_wide = true;
-    }
-  }
-  if (too_wide) {
-    std::vector<Tri> tri(fanins.size());
-    for (std::size_t i = 0; i < fanins.size(); ++i) {
-      tri[i] = fanins[i].to_tri();
-    }
-    const Tri out = eval_cell_tri(c, tri, lut_unknown);
-    if (out == Tri::kX) return BitInterval::top();
-    return BitInterval::constant(out == Tri::kOne);
-  }
-
-  const std::uint64_t mask = c.kind == CellKind::kLut
-                                 ? c.lut_mask
-                                 : gate_truth_mask(c.kind, n);
-  std::uint8_t lo = 1;
-  std::uint8_t hi = 0;
-  for (std::uint32_t combo = 0; combo < (1u << n_free); ++combo) {
-    std::uint32_t row = base_row;
-    for (int j = 0; j < n_free; ++j) {
-      if (combo & (1u << j)) row |= (1u << free_positions[j]);
-    }
-    const std::uint8_t bit = (mask >> row) & 1ull;
-    lo = std::min(lo, bit);
-    hi = std::max(hi, bit);
-  }
-  return {lo, hi};
-}
-
-// ---------------------------------------------------------------------------
 // SupportFunction / SupportDomain
 // ---------------------------------------------------------------------------
 
@@ -157,7 +77,7 @@ SupportFunction SupportDomain::transfer(
   // An unknown LUT is a fresh variable by definition — the attacker does not
   // know its function — and conservatively absorbs its fan-in variables
   // (the secret mask may or may not depend on them).
-  if (c.kind == CellKind::kLut && lut_unknown) return cut_here(true);
+  if (c.kind == CellKind::kLut) return cut_here(true);
 
   // Merge the fan-in supports; overflow of the mask width cuts this cell.
   std::vector<CellId> merged;
@@ -195,12 +115,9 @@ SupportFunction SupportDomain::transfer(
         packed |= (1u << i);
       }
     }
-    // eval_gate is arity-generic (wide AND/OR trees included); only the LUT
-    // needs its mask.
-    const bool out_bit = c.kind == CellKind::kLut
-                             ? ((c.lut_mask >> packed) & 1ull) != 0
-                             : eval_gate(c.kind, packed, n);
-    if (out_bit) out.mask |= (1ull << row);
+    // eval_gate is arity-generic (wide AND/OR trees included); LUTs were
+    // cut above.
+    if (eval_gate(c.kind, packed, n)) out.mask |= (1ull << row);
   }
   out.normalize();
   return out;

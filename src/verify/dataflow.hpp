@@ -1,18 +1,15 @@
 // Generic dataflow framework over the netlist graph.
 //
 // Two worklist solvers (forward along fan-in edges, backward along fanout
-// edges) parameterized by an abstract domain, plus the concrete domains the
-// key-dependency analyzer (verify/keydep) is built from. The domains form a
-// refinement chain
-//
-//   ternary constant  ⊑  bit interval  ⊑  small-support function
-//
-// in the usual abstract-interpretation sense: every fact the coarser domain
-// proves is provable in the finer one (the conformance is pinned by
-// tests/dataflow_test.cpp). All transfer functions model the *attacker view*
-// of a hybrid netlist — a reconfigurable LUT's mask is secret, so its output
-// is unknown (`lut_unknown`, on by default) — and reuse the same per-cell
-// ternary evaluation as the lint audit (sim/ternary's eval_cell_tri).
+// edges) parameterized by an abstract domain, plus the two domains the
+// key-dependency analyzer (verify/keydep) is built from: small-support
+// functions (forward) and structural observability (backward). Ternary
+// constants are not a domain here: the attacker-view constant wave is
+// sim/partial_eval's PartialEvaluator over zero LUT knowledge, and the
+// support domain refines it — every ternary-definite cell it does not cut
+// is the same constant function (pinned by tests/dataflow_test.cpp). The
+// support transfer models the *attacker view* of a hybrid netlist: a
+// reconfigurable LUT's mask is secret, so its output is a fresh variable.
 //
 // The combinational subgraph is a DAG (DFF outputs are sources, DFF D pins
 // are sinks), so a single pass in topo order converges; the worklist keeps
@@ -28,7 +25,6 @@
 #include <vector>
 
 #include "netlist/netlist.hpp"
-#include "sim/ternary.hpp"
 
 namespace stt {
 
@@ -210,66 +206,7 @@ class BackwardDataflow {
 };
 
 // ---------------------------------------------------------------------------
-// Forward domain 1: ternary constants (coarsest layer)
-// ---------------------------------------------------------------------------
-
-/// Attacker-view Kleene constant propagation: PIs and state bits are X,
-/// every LUT output is X (`lut_unknown`), definite values are static
-/// constants no key and no stimulus can change. The sensitivity probe over
-/// this wave (is an observation point's value different when a cell is 0
-/// vs 1?) is sim/partial_eval's incremental ForceProbe.
-struct TernaryDomain {
-  using Value = Tri;
-
-  bool lut_unknown = true;
-
-  Value source(const Netlist& nl, CellId id) const;
-  Value transfer(const Netlist& nl, CellId id,
-                 std::span<const Value> fanins) const;
-  static bool equal(Value a, Value b) { return a == b; }
-};
-
-// ---------------------------------------------------------------------------
-// Forward domain 2: bit intervals (middle layer)
-// ---------------------------------------------------------------------------
-
-/// [lo, hi] over the value of a net. {0,0} and {1,1} are the constants,
-/// {0,1} is unknown; lo > hi encodes "unreached" (the solver's initial
-/// bottom). Transfer enumerates corner assignments of the non-constant
-/// inputs, so on single-bit logic the domain proves exactly the ternary
-/// facts — the refinement step the conformance test pins.
-struct BitInterval {
-  std::uint8_t lo = 1;
-  std::uint8_t hi = 0;
-
-  static BitInterval constant(bool v) {
-    return {static_cast<std::uint8_t>(v), static_cast<std::uint8_t>(v)};
-  }
-  static BitInterval top() { return {0, 1}; }
-  bool is_bottom() const { return lo > hi; }
-  bool is_constant() const { return lo == hi; }
-  Tri to_tri() const {
-    if (is_bottom() || lo != hi) return Tri::kX;
-    return lo ? Tri::kOne : Tri::kZero;
-  }
-  friend bool operator==(const BitInterval& a, const BitInterval& b) {
-    return a.lo == b.lo && a.hi == b.hi;
-  }
-};
-
-struct IntervalDomain {
-  using Value = BitInterval;
-
-  bool lut_unknown = true;
-
-  Value source(const Netlist& nl, CellId id) const;
-  Value transfer(const Netlist& nl, CellId id,
-                 std::span<const Value> fanins) const;
-  static bool equal(const Value& a, const Value& b) { return a == b; }
-};
-
-// ---------------------------------------------------------------------------
-// Forward domain 3: small-support functions (finest layer)
+// Forward domain: small-support functions
 // ---------------------------------------------------------------------------
 
 /// Exact Boolean function of a net over at most kMaxLutInputs cut variables
@@ -297,8 +234,6 @@ struct SupportFunction {
 
 struct SupportDomain {
   using Value = SupportFunction;
-
-  bool lut_unknown = true;
 
   /// Cells re-introduced as fresh cut variables because their support
   /// outgrew kMaxLutInputs, and every variable such a cut absorbed. A

@@ -166,10 +166,14 @@ KeydepResult analyze_keydep(const Netlist& nl, const KeydepOptions& opt) {
   if (luts.empty()) return result;
 
   // -- dataflow passes ------------------------------------------------------
-  // Forward ternary (attacker view): definite wave values are static
-  // constants; they restrict each LUT's reachable truth-table rows.
-  ForwardDataflow<TernaryDomain> ternary(nl);
-  const std::vector<Tri> wave = ternary.solve();
+  // All-X ternary evaluation with zero LUT knowledge (attacker view, every
+  // LUT output X): definite wave values are static constants; they restrict
+  // each LUT's reachable truth-table rows. The same evaluator backs the
+  // audit's force probe below.
+  const LutKnowledgeMap knowledge = unknown_luts(nl);
+  const PartialEvaluator evaluator(nl, knowledge);
+  const std::vector<Tri> wave = evaluator.eval(
+      std::vector<Tri>(nl.inputs().size() + nl.dffs().size(), Tri::kX));
 
   // Backward structural observability: a 0 is a sound proof the cell's
   // value never reaches a primary output or flip-flop D pin.
@@ -191,10 +195,7 @@ KeydepResult analyze_keydep(const Netlist& nl, const KeydepOptions& opt) {
     support = solver.solve();
   }
 
-  // The audit's ternary force probe over the same attacker-view wave (zero
-  // LUT knowledge: every LUT output is X, exactly the ternary domain).
-  const LutKnowledgeMap knowledge = unknown_luts(nl);
-  const PartialEvaluator evaluator(nl, knowledge);
+  // The audit's ternary force probe over the same attacker-view wave.
   ForceProbe probe(evaluator);
   probe.rebase(wave);
   const std::vector<CellId>& obs_points = probe.observation_points();

@@ -77,7 +77,8 @@ TEST(Bitstream, FullFlowArtifact) {
   const CircuitProfile profile{"bs", 8, 6, 6, 120, 8};
   const Netlist original = generate_circuit(profile, 3);
   Netlist hybrid = original;
-  GateSelector selector(TechLibrary::cmos90_stt());
+  const TechLibrary lib = TechLibrary::cmos90_stt();
+  GateSelector selector(lib);
   SelectionOptions opt;
   opt.seed = 3;
   (void)selector.run(hybrid, SelectionAlgorithm::kParametric, opt);

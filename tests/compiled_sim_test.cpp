@@ -1,6 +1,7 @@
 // Compiled batch simulation engine: equivalence against an independent
-// reference evaluator on randomly generated netlists, bit-identical results
-// across batch widths and thread counts, in-place mask patching, and the
+// reference evaluator on randomly generated netlists, every gate kind and
+// LUT width over all its truth-table rows, bit-identical results across
+// batch widths and thread counts, in-place mask patching, and the
 // word-batched oracle's query accounting.
 #include <gtest/gtest.h>
 
@@ -11,7 +12,6 @@
 #include "runtime/thread_pool.hpp"
 #include "sim/compiled.hpp"
 #include "sim/isa.hpp"
-#include "sim/simulator.hpp"
 #include "synth/generator.hpp"
 #include "util/rng.hpp"
 
@@ -20,7 +20,7 @@ namespace {
 
 // Independent reference: per-lane naive evaluation via eval_gate / direct
 // truth-table row lookup — shares no code with the compiled kernels (in
-// particular not eval_cell_word's specialized LUT paths).
+// particular not their specialized LUT paths).
 std::vector<std::uint64_t> ref_eval(const Netlist& nl,
                                     std::span<const std::uint64_t> pi,
                                     std::span<const std::uint64_t> ff) {
@@ -90,7 +90,6 @@ TEST_P(CompiledVsReference, RandomNetlistsMatch) {
   const int seed = GetParam();
   const Netlist nl = locked_circuit(seed);
   const CompiledSim csim(nl);
-  const Simulator sim(nl);
   Rng rng(seed * 977);
   std::vector<std::uint64_t> pi, ff;
   std::vector<std::uint64_t> wave(csim.wave_size());
@@ -102,8 +101,6 @@ TEST_P(CompiledVsReference, RandomNetlistsMatch) {
     for (std::size_t id = 0; id < wave.size(); ++id) {
       ASSERT_EQ(wave[id], expect[id]) << "seed " << seed << " cell " << id;
     }
-    // The ported Simulator must agree with its own compiled engine.
-    EXPECT_EQ(sim.eval_comb(pi, ff), expect);
   }
 }
 
@@ -190,55 +187,6 @@ TEST(CompiledSim, SetLutMaskMatchesRecompile) {
     EXPECT_EQ(a, b) << "patched engine differs from recompiled engine";
   }
   EXPECT_THROW(csim.set_lut_mask(nl.inputs()[0], 1), std::invalid_argument);
-}
-
-TEST(Simulator, SeesLiveMaskAndKindEdits) {
-  // Historical contract: mask edits and in-place gate->LUT conversions made
-  // after construction are visible to the next eval_comb.
-  Netlist nl = locked_circuit(7);
-  const Simulator sim(nl);
-  Rng rng(1234);
-  std::vector<std::uint64_t> pi, ff;
-  random_stimulus(rng, nl, pi, ff);
-  (void)sim.eval_comb(pi, ff);  // compile + evaluate once
-
-  CellId gate = kNullCell;
-  for (const CellId id : nl.logic_cells()) {
-    const Cell& c = nl.cell(id);
-    if (is_replaceable_gate(c.kind) && c.kind != CellKind::kLut &&
-        c.fanin_count() <= kMaxLutInputs) {
-      gate = id;
-      break;
-    }
-  }
-  ASSERT_NE(gate, kNullCell);
-  // In-place gate -> LUT conversion with a random mask, same fan-ins.
-  nl.replace_with_lut(gate, rng() & full_mask(nl.cell(gate).fanin_count()));
-  EXPECT_EQ(sim.eval_comb(pi, ff), ref_eval(nl, pi, ff));
-}
-
-TEST(SequentialSimulator, StepIntoMatchesStepWithoutReallocation) {
-  const Netlist nl = locked_circuit(11);
-  SequentialSimulator a(nl);
-  SequentialSimulator b(nl);
-  a.reset(false);
-  b.reset(false);
-  Rng rng(31);
-  std::vector<std::uint64_t> pi(nl.inputs().size());
-  std::vector<std::uint64_t> po(nl.outputs().size());
-  const std::uint64_t* wave_data = a.last_wave().data();
-  for (int cycle = 0; cycle < 12; ++cycle) {
-    for (auto& w : pi) w = rng();
-    a.step_into(pi, po);
-    const auto expect = b.step(pi);
-    ASSERT_EQ(po.size(), expect.size());
-    for (std::size_t o = 0; o < po.size(); ++o) EXPECT_EQ(po[o], expect[o]);
-    for (std::size_t j = 0; j < nl.dffs().size(); ++j) {
-      EXPECT_EQ(a.state()[j], b.state()[j]);
-    }
-    // The wave buffer is reused, never reallocated.
-    EXPECT_EQ(a.last_wave().data(), wave_data);
-  }
 }
 
 TEST(ScanOracle, QueryWordMatches64SingleQueries) {
@@ -418,18 +366,6 @@ TEST(SimIsaMatrix, LiveMaskEditsLandUnderWideLanes) {
       fresh.eval_batch(W, pi, ff, b);
       EXPECT_EQ(a, b) << sim_isa_name(isa) << " trial " << trial;
     }
-    // Whole-netlist resync after direct mask edits.
-    for (const CellId id : luts) {
-      nl.cell(id).lut_mask =
-          rng() & full_mask(nl.cell(id).fanin_count());
-    }
-    csim.resync_functions();
-    const CompiledSim fresh(nl);
-    std::vector<std::uint64_t> a(csim.wave_size() * W);
-    std::vector<std::uint64_t> b(csim.wave_size() * W);
-    csim.eval_batch(W, pi, ff, a);
-    fresh.eval_batch(W, pi, ff, b);
-    EXPECT_EQ(a, b) << sim_isa_name(isa) << " after resync_functions";
   }
 }
 
@@ -469,22 +405,72 @@ TEST(ScanOracle, ScalarQueriesSizeScratchForActiveLaneWidth) {
   }
 }
 
+// One cell of `kind` over `fanin` primary inputs, evaluated by the compiled
+// engine with every truth-table row packed into its own word lane: lane r
+// carries input assignment r, so bit r of the result is row r's output.
+std::uint64_t all_rows_word(CellKind kind, int fanin,
+                            std::uint64_t mask = 0) {
+  Netlist nl("cell");
+  std::vector<CellId> ins;
+  for (int i = 0; i < fanin; ++i) {
+    ins.push_back(nl.add_input("i" + std::to_string(i)));
+  }
+  const CellId y = kind == CellKind::kLut ? nl.add_lut("y", ins, mask)
+                                          : nl.add_gate(kind, "y", ins);
+  nl.mark_output(y);
+  nl.finalize();
+  std::vector<std::uint64_t> words(fanin, 0);
+  for (int i = 0; i < fanin; ++i) {
+    for (std::uint32_t row = 0; row < num_rows(fanin); ++row) {
+      if (row & (1u << i)) words[i] |= (1ull << row);
+    }
+  }
+  const CompiledSim sim(nl);
+  std::vector<std::uint64_t> wave(sim.wave_size());
+  sim.eval_word(words, {}, wave);
+  return wave[y];
+}
+
+// Property: word-parallel cell evaluation agrees with eval_gate on every
+// row, for every standard kind and fan-in.
+class WordEvalMatchesGate
+    : public ::testing::TestWithParam<std::tuple<CellKind, int>> {};
+
+TEST_P(WordEvalMatchesGate, AllRows) {
+  const auto [kind, fanin] = GetParam();
+  const std::uint64_t out = all_rows_word(kind, fanin);
+  for (std::uint32_t row = 0; row < num_rows(fanin); ++row) {
+    EXPECT_EQ(((out >> row) & 1ull) != 0, eval_gate(kind, row, fanin))
+        << kind_name(kind) << " fanin " << fanin << " row " << row;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Gates, WordEvalMatchesGate,
+    ::testing::Combine(::testing::Values(CellKind::kAnd, CellKind::kNand,
+                                         CellKind::kOr, CellKind::kNor,
+                                         CellKind::kXor, CellKind::kXnor),
+                       ::testing::Range(2, kMaxLutInputs + 1)));
+
+TEST(WordEval, LutMatchesItsMask) {
+  Rng rng(3);
+  for (int k = 1; k <= kMaxLutInputs; ++k) {
+    for (int trial = 0; trial < 10; ++trial) {
+      const std::uint64_t mask = rng() & full_mask(k);
+      EXPECT_EQ(all_rows_word(CellKind::kLut, k, mask) & full_mask(k), mask);
+    }
+  }
+}
+
 TEST(EvalCellWord, DenseLutMasksUseComplementPathCorrectly) {
   Rng rng(8);
   for (int k = 3; k <= kMaxLutInputs; ++k) {
     for (int trial = 0; trial < 20; ++trial) {
-      Cell cell;
-      cell.kind = CellKind::kLut;
-      // Bias dense: OR of two draws asserts ~75% of rows on average.
-      cell.lut_mask = (rng() | rng()) & full_mask(k);
-      std::vector<std::uint64_t> words(k);
-      for (int i = 0; i < k; ++i) {
-        for (std::uint32_t row = 0; row < num_rows(k); ++row) {
-          if (row & (1u << i)) words[i] |= (1ull << row);
-        }
-      }
-      const std::uint64_t out = eval_cell_word(cell, words);
-      EXPECT_EQ(out & full_mask(k), cell.lut_mask) << "k=" << k;
+      // Bias dense: OR of two draws asserts ~75% of rows on average, which
+      // sends the wide-LUT kernel down its complement path.
+      const std::uint64_t mask = (rng() | rng()) & full_mask(k);
+      EXPECT_EQ(all_rows_word(CellKind::kLut, k, mask) & full_mask(k), mask)
+          << "k=" << k;
     }
   }
 }

@@ -3,7 +3,7 @@
 #include "attack/encode.hpp"
 #include "core/hybrid.hpp"
 #include "io/bench_io.hpp"
-#include "sim/simulator.hpp"
+#include "sim/compiled.hpp"
 #include "synth/generator.hpp"
 #include "util/rng.hpp"
 
@@ -25,7 +25,8 @@ TEST_P(EncodingMatchesSimulation, RandomCircuitsAndPatterns) {
     }
   }
 
-  const Simulator sim(nl);
+  const CompiledSim sim(nl);
+  std::vector<std::uint64_t> wave(sim.wave_size());
   Rng rng(GetParam() * 13 + 1);
   for (int trial = 0; trial < 4; ++trial) {
     sat::Solver solver;
@@ -38,12 +39,16 @@ TEST_P(EncodingMatchesSimulation, RandomCircuitsAndPatterns) {
     }
     ASSERT_EQ(solver.solve(), sat::Result::kSat);
 
+    // The same pattern broadcast across a word: PIs, then state bits.
     const std::size_t n_pi = nl.inputs().size();
-    std::vector<bool> pi(in.begin(), in.begin() + n_pi);
-    std::vector<bool> ff(in.begin() + n_pi, in.end());
-    const auto po = sim.eval_single(pi, ff);
-    for (std::size_t o = 0; o < po.size(); ++o) {
-      EXPECT_EQ(solver.value(enc.output_vars[o]), po[o]) << "output " << o;
+    std::vector<std::uint64_t> words(in.size());
+    for (std::size_t i = 0; i < in.size(); ++i) words[i] = in[i] ? ~0ull : 0ull;
+    const std::span<const std::uint64_t> all(words);
+    sim.eval_word(all.first(n_pi), all.subspan(n_pi), wave);
+    for (std::size_t o = 0; o < sim.num_outputs(); ++o) {
+      EXPECT_EQ(solver.value(enc.output_vars[o]),
+                (wave[sim.output_cells()[o]] & 1ull) != 0)
+          << "output " << o;
     }
   }
 }

@@ -45,7 +45,7 @@ std::vector<Tri> forced_eval(const Netlist& nl, const LutKnowledgeMap& luts,
     for (int i = 0; i < n; ++i) fin[i] = wave[c.fanins[i]];
     wave[id] = c.kind == CellKind::kLut
                    ? evaluator.eval_partial_lut(id, std::span<const Tri>(fin, n))
-                   : eval_cell_tri(c, std::span<const Tri>(fin, n), false);
+                   : eval_cell_tri(c, std::span<const Tri>(fin, n));
   }
   return wave;
 }

@@ -39,7 +39,8 @@ TEST(GuidedSens, FarFewerPatternsThanRandomSensitization) {
   const CircuitProfile profile{"gs", 10, 8, 6, 150, 8};
   const Netlist original = generate_circuit(profile, 3);
   Netlist hybrid = original;
-  GateSelector selector(TechLibrary::cmos90_stt());
+  const TechLibrary lib = TechLibrary::cmos90_stt();
+  GateSelector selector(lib);
   SelectionOptions sopt;
   sopt.seed = 3;
   sopt.indep_count = 4;
@@ -72,7 +73,8 @@ TEST(GuidedSens, RecoveredKeyIsFunctionallyCorrect) {
     const CircuitProfile profile{"gs2", 8, 8, 5, 100, 7};
     const Netlist original = generate_circuit(profile, seed);
     Netlist hybrid = original;
-    GateSelector selector(TechLibrary::cmos90_stt());
+    const TechLibrary lib = TechLibrary::cmos90_stt();
+    GateSelector selector(lib);
     SelectionOptions sopt;
     sopt.seed = seed;
     sopt.indep_count = 3;

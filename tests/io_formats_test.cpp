@@ -238,6 +238,26 @@ TEST(Blif, DiagnosticsCarryLineNumbers) {
   }
 }
 
+TEST(BlifReader, CombinationalCycleNamesACellAndItsLine) {
+  // b and c form the cycle; d only hangs off it, so it must not be named.
+  const std::string text =
+      ".model loop\n.inputs a\n.outputs d\n"
+      ".names a c b\n11 1\n"  // line 4
+      ".names b c\n0 1\n"     // line 6
+      ".names c d\n0 1\n.end\n";
+  try {
+    read_blif(text, "loop");
+    FAIL() << "expected BlifParseError";
+  } catch (const BlifParseError& e) {
+    const std::string msg = e.message;
+    const bool names_b = msg.find("'b'") != std::string::npos;
+    const bool names_c = msg.find("'c'") != std::string::npos;
+    EXPECT_TRUE(names_b != names_c) << msg;
+    EXPECT_NE(msg.find("combinational cycle"), std::string::npos) << msg;
+    EXPECT_EQ(e.line, names_b ? 4 : 6) << msg;
+  }
+}
+
 class BlifRoundtrip : public ::testing::TestWithParam<int> {};
 
 TEST_P(BlifRoundtrip, GeneratedCircuits) {

@@ -36,7 +36,8 @@ TEST(MlAttack, AccuracyIsMeaningful) {
   const CircuitProfile profile{"ml", 8, 8, 5, 100, 7};
   const Netlist original = generate_circuit(profile, 3);
   Netlist hybrid = original;
-  GateSelector selector(TechLibrary::cmos90_stt());
+  const TechLibrary lib = TechLibrary::cmos90_stt();
+  GateSelector selector(lib);
   SelectionOptions sopt;
   sopt.seed = 3;
   sopt.indep_count = 4;
@@ -57,7 +58,8 @@ TEST(MlAttack, PackingDefeatsStandardCandidateSearch) {
   const CircuitProfile profile{"mlpack", 8, 8, 5, 100, 7};
   const Netlist original = generate_circuit(profile, 7);
   Netlist hybrid = original;
-  GateSelector selector(TechLibrary::cmos90_stt());
+  const TechLibrary lib = TechLibrary::cmos90_stt();
+  GateSelector selector(lib);
   SelectionOptions sopt;
   sopt.seed = 7;
   sopt.indep_count = 4;

@@ -1,7 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "netlist/connlist.hpp"
 #include "netlist/netlist.hpp"
-#include "sim/simulator.hpp"
+#include "sim/compiled.hpp"
 #include "synth/generator.hpp"
 #include "util/rng.hpp"
 
@@ -19,6 +20,23 @@ Netlist tiny() {
   nl.mark_output(o);
   nl.finalize();
   return nl;
+}
+
+// A pool's chunks grow with it: a few spilled lists cost one 1K-id chunk,
+// not a whole 64K-id one; a list longer than the next chunk gets its own,
+// and slices already handed out never move.
+TEST(ConnPool, ChunksGrowWithThePool) {
+  ConnPool pool;
+  CellId* first = pool.alloc(5);
+  for (CellId i = 0; i < 5; ++i) first[i] = 100 + i;
+  EXPECT_EQ(pool.capacity_ids(), 1024u);
+  for (int i = 0; i < 300; ++i) pool.alloc(5);  // 1505 ids: a second chunk
+  EXPECT_EQ(pool.capacity_ids(), 2048u);
+  pool.alloc(100000);
+  EXPECT_EQ(pool.capacity_ids(), 2048u + 100000u);
+  pool.alloc(1);  // growth is capped at 64K ids per chunk
+  EXPECT_EQ(pool.capacity_ids(), 2048u + 100000u + 65536u);
+  for (CellId i = 0; i < 5; ++i) EXPECT_EQ(first[i], 100 + i);
 }
 
 TEST(Netlist, BasicConstruction) {
@@ -173,17 +191,19 @@ TEST_P(LutReplacementEquivalence, RandomCircuit) {
   ASSERT_GT(replaced, 0);
   hybrid.check();
 
-  const Simulator sim_a(original);
-  const Simulator sim_b(hybrid);
+  // LUT replacement keeps every cell id, so the two waves line up cell for
+  // cell: outputs, next state and every internal net must agree.
+  const CompiledSim sim_a(original);
+  const CompiledSim sim_b(hybrid);
   std::vector<std::uint64_t> pis(original.inputs().size());
   std::vector<std::uint64_t> ffs(original.dffs().size());
+  std::vector<std::uint64_t> wa(sim_a.wave_size()), wb(sim_b.wave_size());
   for (int round = 0; round < 8; ++round) {
     for (auto& w : pis) w = rng();
     for (auto& w : ffs) w = rng();
-    const auto wa = sim_a.eval_comb(pis, ffs);
-    const auto wb = sim_b.eval_comb(pis, ffs);
-    EXPECT_EQ(sim_a.outputs_of(wa), sim_b.outputs_of(wb));
-    EXPECT_EQ(sim_a.next_state_of(wa), sim_b.next_state_of(wb));
+    sim_a.eval_word(pis, ffs, wa);
+    sim_b.eval_word(pis, ffs, wb);
+    EXPECT_EQ(wa, wb);
   }
 }
 

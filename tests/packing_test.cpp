@@ -115,7 +115,8 @@ TEST(Packing, DummyNeverCreatesCombinationalCycle) {
   for (int seed = 1; seed <= 6; ++seed) {
     CircuitProfile profile{"cyc", 6, 5, 4, 80, 7};
     Netlist nl = generate_circuit(profile, seed);
-    GateSelector selector(TechLibrary::cmos90_stt());
+    const TechLibrary lib = TechLibrary::cmos90_stt();
+    GateSelector selector(lib);
     SelectionOptions sopt;
     sopt.seed = seed;
     (void)selector.run(nl, SelectionAlgorithm::kIndependent, sopt);
@@ -137,7 +138,8 @@ TEST_P(PackedFlowEquivalence, SatProven) {
   CircuitProfile profile{"pk", 8, 6, 6, 120, 8};
   const Netlist original = generate_circuit(profile, seed);
   Netlist hybrid = original;
-  GateSelector selector(TechLibrary::cmos90_stt());
+  const TechLibrary lib = TechLibrary::cmos90_stt();
+  GateSelector selector(lib);
   SelectionOptions sopt;
   sopt.seed = seed;
   (void)selector.run(hybrid, alg, sopt);

@@ -115,7 +115,8 @@ TEST(Scoap, ResolvabilityRanksLockedRegionsHarder) {
   const CircuitProfile profile{"res", 10, 8, 8, 200, 9};
   const Netlist original = generate_circuit(profile, 5);
   Netlist hybrid = original;
-  GateSelector selector(TechLibrary::cmos90_stt());
+  const TechLibrary lib = TechLibrary::cmos90_stt();
+  GateSelector selector(lib);
   SelectionOptions sopt;
   sopt.seed = 5;
   const auto sel = selector.run(hybrid, SelectionAlgorithm::kDependent, sopt);

@@ -7,9 +7,9 @@
 #include "io/verilog_reader.hpp"
 #include "io/verilog_writer.hpp"
 #include "power/power.hpp"
+#include "sim/compiled.hpp"
+#include "sim/partial_eval.hpp"
 #include "sim/scoap.hpp"
-#include "sim/simulator.hpp"
-#include "sim/ternary.hpp"
 #include "timing/sta.hpp"
 
 namespace stt {
@@ -50,28 +50,32 @@ TEST(WideGates, FaninBeyondGateCapRejected) {
 
 TEST(WideGates, SimulationIsExact) {
   const Netlist nl = wide_circuit();
-  const Simulator sim(nl);
-  std::vector<bool> all1(9, true);
-  std::vector<bool> mixed(9, true);
-  mixed[4] = false;
-  std::vector<bool> all0(9, false);
-  EXPECT_TRUE(sim.eval_single(all1, {})[0]);    // AND
-  EXPECT_FALSE(sim.eval_single(mixed, {})[0]);
-  EXPECT_FALSE(sim.eval_single(all1, {})[1]);   // NOR
-  EXPECT_TRUE(sim.eval_single(all0, {})[1]);
+  const CompiledSim sim(nl);
+  // Lane 0: all inputs 1. Lane 1: all 1 but i4. Lane 2: all inputs 0.
+  std::vector<std::uint64_t> in(9, 0b011);
+  in[4] = 0b001;
+  std::vector<std::uint64_t> wave(sim.wave_size());
+  sim.eval_word(in, {}, wave);
+  const std::uint64_t y = wave[nl.outputs()[0]];  // AND
+  const std::uint64_t z = wave[nl.outputs()[1]];  // NOR
+  EXPECT_EQ(y & 0b111, 0b001u);
+  EXPECT_EQ(z & 0b111, 0b100u);
 }
 
 TEST(WideGates, TernaryKleeneRules) {
   const Netlist nl = wide_circuit();
-  const TernarySimulator sim(nl);
+  const LutKnowledgeMap configured;
+  const PartialEvaluator sim(nl, configured);
+  const CellId y = nl.outputs()[0];
+  const CellId z = nl.outputs()[1];
   std::vector<Tri> in(9, Tri::kX);
   in[0] = Tri::kZero;
-  const auto out = sim.outputs_of(sim.eval_comb(in, {}));
-  EXPECT_EQ(out[0], Tri::kZero);  // AND with a known 0
-  EXPECT_EQ(out[1], Tri::kX);     // NOR with unknowns and no known 1
+  const auto out = sim.eval(in);
+  EXPECT_EQ(out[y], Tri::kZero);  // AND with a known 0
+  EXPECT_EQ(out[z], Tri::kX);     // NOR with unknowns and no known 1
   in[1] = Tri::kOne;
-  const auto out2 = sim.outputs_of(sim.eval_comb(in, {}));
-  EXPECT_EQ(out2[1], Tri::kZero);  // NOR with a known 1
+  const auto out2 = sim.eval(in);
+  EXPECT_EQ(out2[z], Tri::kZero);  // NOR with a known 1
 }
 
 TEST(WideGates, TimingPowerAreaFinite) {
@@ -114,7 +118,8 @@ TEST(WideGates, LutReplacementRefused) {
 
 TEST(WideGates, SelectionSkipsThem) {
   Netlist nl = wide_circuit();
-  GateSelector selector(TechLibrary::cmos90_stt());
+  const TechLibrary lib = TechLibrary::cmos90_stt();
+  GateSelector selector(lib);
   SelectionOptions opt;
   opt.indep_count = 50;  // ask for more than exists
   const auto result = selector.run(nl, SelectionAlgorithm::kIndependent, opt);
