@@ -15,9 +15,10 @@ shape.
 Also validates a bench JSON document against its schema: ``--bench netlist``
 checks the shape bench_netlist_perf writes (counts, matching structural
 checksums, and the per-path/per-phase timing rows); ``--bench sat`` checks
-the shape bench_sat_perf writes (exactly the naive, pruned and pruned_sim
-modes, integer counts, positive seconds, and speedups consistent with the
-seconds).
+the shape bench_sat_perf writes (exactly the pruned and pruned_sim modes,
+integer counts, positive seconds, and every mode's CNF growth per DIP
+within a tenth of ``full_copy_per_iter``), plus the optional ``history``
+rows of retired modes.
 
 Usage:
   scripts/validate_obs.py --trace trace.json [--require-cats job,flow-stage,...]
@@ -328,17 +329,51 @@ def validate_netlist_bench(path):
 
 
 SAT_BENCH_KEYS = {"benchmark", "algorithm", "luts", "key_bits", "checksum",
-                  "modes"}
-SAT_BENCH_MODES = ("naive", "pruned", "pruned_sim")
+                  "full_copy_per_iter", "modes"}
+SAT_BENCH_MODES = ("pruned", "pruned_sim")
 SAT_MODE_COUNTS = ("iterations", "queries", "conflicts", "decisions",
                    "propagations", "learned", "peak_clauses", "cnf_initial",
                    "cnf_dip", "key_rows_folded")
-SAT_MODE_KEYS = {"name", "seconds", "cnf_per_iter", "speedup_vs_naive",
-                 *SAT_MODE_COUNTS}
+SAT_MODE_KEYS = {"name", "seconds", "cnf_per_iter", *SAT_MODE_COUNTS}
+# bench_sat_perf's gate: folded CNF growth per DIP stays within
+# full_copy_per_iter / SAT_MIN_CNF_REDUCTION.
+SAT_MIN_CNF_REDUCTION = 10
 
 
 def is_count(v):
     return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def check_sat_rows(path, key, rows):
+    """Check a list of bench_sat_perf mode rows; return them by name."""
+    if not isinstance(rows, list):
+        fail(f"{path}: {key!r} must be a list")
+    by_name = {}
+    for m in rows:
+        if not isinstance(m, dict) or not isinstance(m.get("name"), str):
+            fail(f"{path}: {key} row {m!r} must be an object with a name")
+        name = m["name"]
+        if name in by_name:
+            fail(f"{path}: {key} row {name} appears twice")
+        missing = SAT_MODE_KEYS - m.keys()
+        if missing:
+            fail(f"{path}: {key} row {name} missing keys {sorted(missing)}")
+        for field in SAT_MODE_COUNTS:
+            if not is_count(m[field]):
+                fail(f"{path}: {key} row {name} field {field}={m[field]!r}"
+                     " must be a non-negative integer")
+        if not is_number(m["seconds"]) or m["seconds"] <= 0:
+            fail(f"{path}: {key} row {name} seconds={m['seconds']!r} must"
+                 " be > 0")
+        if not is_number(m["cnf_per_iter"]) or m["cnf_per_iter"] < 0:
+            fail(f"{path}: {key} row {name} cnf_per_iter="
+                 f"{m['cnf_per_iter']!r} must be a number >= 0")
+        by_name[name] = m
+    return by_name
 
 
 def validate_sat_bench(path):
@@ -352,37 +387,26 @@ def validate_sat_bench(path):
         if not is_count(doc[key]):
             fail(f"{path}: field {key}={doc[key]!r} must be a non-negative"
                  " integer")
-    if not isinstance(doc["modes"], list):
-        fail(f"{path}: 'modes' must be a list")
-    names = [m.get("name") if isinstance(m, dict) else None
-             for m in doc["modes"]]
-    if sorted(names, key=str) != sorted(SAT_BENCH_MODES):
-        fail(f"{path}: modes {names!r} must be exactly"
+    full = doc["full_copy_per_iter"]
+    if not is_number(full) or full <= 0:
+        fail(f"{path}: full_copy_per_iter={full!r} must be a number > 0")
+    modes = check_sat_rows(path, "modes", doc["modes"])
+    if sorted(modes) != sorted(SAT_BENCH_MODES):
+        fail(f"{path}: modes {sorted(modes)!r} must be exactly"
              f" {list(SAT_BENCH_MODES)}")
-    modes = {m["name"]: m for m in doc["modes"]}
     for name, m in modes.items():
-        missing = SAT_MODE_KEYS - m.keys()
-        if missing:
-            fail(f"{path}: mode {name} missing keys {sorted(missing)}")
-        for key in SAT_MODE_COUNTS:
-            if not is_count(m[key]):
-                fail(f"{path}: mode {name} field {key}={m[key]!r} must be a"
-                     " non-negative integer")
-        if not isinstance(m["seconds"], (int, float)) or m["seconds"] <= 0:
-            fail(f"{path}: mode {name} seconds={m['seconds']!r} must be > 0")
-    # speedup_vs_naive is printed with two decimals from the unrounded
-    # seconds, so allow that rounding (plus the seconds' own 1e-6 grain).
-    naive_s = modes["naive"]["seconds"]
-    for name, m in modes.items():
-        want = naive_s / m["seconds"]
-        got = m["speedup_vs_naive"]
-        if not isinstance(got, (int, float)) \
-                or abs(got - want) > 0.005 + 1e-3 * want:
-            fail(f"{path}: mode {name} speedup_vs_naive={got!r} but"
-                 f" naive/seconds = {want:.4f}")
+        if m["cnf_per_iter"] * SAT_MIN_CNF_REDUCTION > full:
+            fail(f"{path}: mode {name} cnf_per_iter={m['cnf_per_iter']} is"
+                 f" more than 1/{SAT_MIN_CNF_REDUCTION} of"
+                 f" full_copy_per_iter={full}")
+    history = check_sat_rows(path, "history", doc.get("history", []))
+    overlap = set(history) & set(modes)
+    if overlap:
+        fail(f"{path}: history repeats live modes {sorted(overlap)}")
     print(f"validate_obs: OK: {path}: {doc['benchmark']}/{doc['algorithm']},"
           f" pruned_sim {modes['pruned_sim']['iterations']} DIPs at"
-          f" {modes['pruned_sim']['speedup_vs_naive']}x vs naive")
+          f" {modes['pruned_sim']['cnf_per_iter']} clauses/DIP"
+          f" (full copy {full}), {len(history)} history row(s)")
 
 
 def main():

@@ -19,10 +19,16 @@ void encode_xor2_lits(sat::Solver& s, Var t, Lit a, Lit b) {
 }  // namespace
 
 DipEncoder::DipEncoder(sat::Solver& solver, const Netlist& nl,
-                       std::vector<const KeyVars*> key_copies)
-    : solver_(&solver), nl_(&nl) {
+                       std::vector<const KeyVars*> key_copies, int frames)
+    : solver_(&solver),
+      nl_(&nl),
+      frames_(frames),
+      n_(static_cast<CellId>(nl.size())) {
   if (key_copies.empty()) {
     throw std::invalid_argument("DipEncoder: no key copies");
+  }
+  if (frames < kScan) {
+    throw std::invalid_argument("DipEncoder: frames must be >= 1 (or kScan)");
   }
   const std::size_t n = nl.size();
   key_by_cell_.resize(key_copies.size());
@@ -44,14 +50,16 @@ DipEncoder::DipEncoder(sat::Solver& solver, const Netlist& nl,
       key_by_cell_[copy][id] = it->second;
     }
   }
-  vals_.resize(n);
-  copy_var_.assign(key_copies.size(), std::vector<Var>(n, -1));
-  var_stamp_.assign(n, 0);
-  needed_stamp_.assign(n, 0);
+  const std::size_t slots = n * static_cast<std::size_t>(frame_count());
+  vals_.resize(slots);
+  copy_var_.assign(key_copies.size(), std::vector<Var>(slots, -1));
+  var_stamp_.assign(slots, 0);
+  needed_stamp_.assign(slots, 0);
 }
 
-bool DipEncoder::normalize_gate(const Cell& c, std::vector<EncVal>& lits,
-                                bool& invert, EncVal& folded) const {
+bool DipEncoder::normalize_gate(const Cell& c, CellId off,
+                                std::vector<EncVal>& lits, bool& invert,
+                                EncVal& folded) const {
   lits.clear();
   const CellKind kind = c.kind;
   const bool is_xor = (kind == CellKind::kXor || kind == CellKind::kXnor);
@@ -61,7 +69,7 @@ bool DipEncoder::normalize_gate(const Cell& c, std::vector<EncVal>& lits,
             kind == CellKind::kXnor);
 
   for (const CellId f : c.fanins) {
-    EncVal v = vals_[f];
+    EncVal v = vals_[off + f];
     if (negate_in) v.neg = !v.neg;
     if (v.kind == EncVal::kConst) {
       if (is_xor) {
@@ -104,14 +112,15 @@ bool DipEncoder::normalize_gate(const Cell& c, std::vector<EncVal>& lits,
   return false;
 }
 
-void DipEncoder::lut_unknowns(const Cell& c, std::vector<EncVal>& unknowns,
+void DipEncoder::lut_unknowns(const Cell& c, CellId off,
+                              std::vector<EncVal>& unknowns,
                               std::vector<int>& positions,
                               std::uint32_t& base) const {
   unknowns.clear();
   positions.clear();
   base = 0;
   for (std::size_t i = 0; i < c.fanins.size(); ++i) {
-    const EncVal v = vals_[c.fanins[i]];
+    const EncVal v = vals_[off + c.fanins[i]];
     if (v.kind == EncVal::kConst) {
       if (v.neg) base |= (1u << i);
     } else {
@@ -121,7 +130,7 @@ void DipEncoder::lut_unknowns(const Cell& c, std::vector<EncVal>& unknowns,
   }
 }
 
-DipEncoder::EncVal DipEncoder::fold_cell(CellId id) {
+DipEncoder::EncVal DipEncoder::fold_cell(CellId off, CellId id) {
   const Cell& c = nl_->cell(id);
   switch (c.kind) {
     case CellKind::kConst0:
@@ -129,9 +138,9 @@ DipEncoder::EncVal DipEncoder::fold_cell(CellId id) {
     case CellKind::kConst1:
       return make_const(true);
     case CellKind::kBuf:
-      return vals_[c.fanins[0]];
+      return vals_[off + c.fanins[0]];
     case CellKind::kNot: {
-      EncVal v = vals_[c.fanins[0]];
+      EncVal v = vals_[off + c.fanins[0]];
       v.neg = !v.neg;
       return v;
     }
@@ -143,12 +152,12 @@ DipEncoder::EncVal DipEncoder::fold_cell(CellId id) {
     case CellKind::kXnor: {
       bool invert = false;
       EncVal folded;
-      if (normalize_gate(c, lit_scratch_, invert, folded)) return folded;
-      return {EncVal::kCell, false, id, 0};
+      if (normalize_gate(c, off, lit_scratch_, invert, folded)) return folded;
+      return {EncVal::kCell, false, off + id, 0};
     }
     case CellKind::kLut: {
       std::uint32_t base = 0;
-      lut_unknowns(c, lit_scratch_, pos_scratch_, base);
+      lut_unknowns(c, off, lit_scratch_, pos_scratch_, base);
       const auto it = known_.find(id);
       const auto row_known = [&](std::uint32_t row) {
         return it != known_.end() && (it->second.known_mask >> row) & 1ull;
@@ -194,7 +203,7 @@ DipEncoder::EncVal DipEncoder::fold_cell(CellId id) {
           return v;
         }
       }
-      return {EncVal::kCell, false, id, 0};
+      return {EncVal::kCell, false, off + id, 0};
     }
     default:
       throw std::logic_error("DipEncoder: unexpected cell kind in fold");
@@ -202,13 +211,26 @@ DipEncoder::EncVal DipEncoder::fold_cell(CellId id) {
 }
 
 void DipEncoder::fold_pattern(const std::vector<bool>& inputs) {
-  std::size_t slot = 0;
-  for (const CellId id : nl_->inputs()) vals_[id] = make_const(inputs[slot++]);
-  for (const CellId id : nl_->dffs()) vals_[id] = make_const(inputs[slot++]);
-  for (const CellId id : nl_->topo_order()) {
-    const Cell& c = nl_->cell(id);
-    if (c.kind == CellKind::kInput || c.kind == CellKind::kDff) continue;
-    vals_[id] = fold_cell(id);
+  std::size_t bit = 0;
+  for (int f = 0; f < frame_count(); ++f) {
+    const CellId off = static_cast<CellId>(f) * n_;
+    for (const CellId id : nl_->inputs()) {
+      vals_[off + id] = make_const(inputs[bit++]);
+    }
+    for (const CellId id : nl_->dffs()) {
+      if (frames_ == kScan) {
+        vals_[off + id] = make_const(inputs[bit++]);
+      } else if (f == 0) {
+        vals_[off + id] = make_const(false);  // reset state
+      } else {
+        vals_[off + id] = vals_[off - n_ + nl_->cell(id).fanins.at(0)];
+      }
+    }
+    for (const CellId id : nl_->topo_order()) {
+      const Cell& c = nl_->cell(id);
+      if (c.kind == CellKind::kInput || c.kind == CellKind::kDff) continue;
+      vals_[off + id] = fold_cell(off, id);
+    }
   }
 }
 
@@ -235,27 +257,28 @@ void DipEncoder::resolve_row(CellId lut, std::uint32_t row, bool value,
   }
 }
 
-void DipEncoder::mark_needed(CellId id) {
+void DipEncoder::mark_needed(CellId slot) {
   dfs_stack_.clear();
-  dfs_stack_.push_back(id);
+  dfs_stack_.push_back(slot);
   while (!dfs_stack_.empty()) {
     const CellId cur = dfs_stack_.back();
     dfs_stack_.pop_back();
     if (needed_stamp_[cur] == epoch_) continue;
     needed_stamp_[cur] = epoch_;
-    const Cell& c = nl_->cell(cur);
+    const CellId off = cur - cur % n_;
+    const Cell& c = nl_->cell(cur - off);
     // Follow only the literals that survive normalization — a cancelled
     // fan-in contributes nothing to the emitted clauses.
     if (c.kind == CellKind::kLut) {
       std::uint32_t base = 0;
-      lut_unknowns(c, lit_scratch_, pos_scratch_, base);
+      lut_unknowns(c, off, lit_scratch_, pos_scratch_, base);
       for (const EncVal& v : lit_scratch_) {
         if (v.kind == EncVal::kCell) dfs_stack_.push_back(v.node);
       }
     } else {
       bool invert = false;
       EncVal folded;
-      normalize_gate(c, lit_scratch_, invert, folded);
+      normalize_gate(c, off, lit_scratch_, invert, folded);
       for (const EncVal& v : lit_scratch_) {
         if (v.kind == EncVal::kCell) dfs_stack_.push_back(v.node);
       }
@@ -263,16 +286,16 @@ void DipEncoder::mark_needed(CellId id) {
   }
 }
 
-sat::Var DipEncoder::copy_out_var(std::size_t copy, CellId id,
+sat::Var DipEncoder::copy_out_var(std::size_t copy, CellId slot,
                                   DipEncodeStats& stats) {
-  if (var_stamp_[id] != epoch_) {
-    var_stamp_[id] = epoch_;
+  if (var_stamp_[slot] != epoch_) {
+    var_stamp_[slot] = epoch_;
     for (std::size_t k = 0; k < copy_var_.size(); ++k) {
-      copy_var_[k][id] = solver_->new_var();
+      copy_var_[k][slot] = solver_->new_var();
       ++stats.vars_added;
     }
   }
-  return copy_var_[copy][id];
+  return copy_var_[copy][slot];
 }
 
 sat::Lit DipEncoder::lit_of(std::size_t copy, const EncVal& v) const {
@@ -285,19 +308,21 @@ sat::Lit DipEncoder::lit_of(std::size_t copy, const EncVal& v) const {
   throw std::logic_error("DipEncoder: constant has no literal");
 }
 
-void DipEncoder::emit_cell(CellId id, DipEncodeStats& stats) {
+void DipEncoder::emit_cell(CellId slot, DipEncodeStats& stats) {
+  const CellId off = slot - slot % n_;
+  const CellId id = slot - off;
   const Cell& c = nl_->cell(id);
   ++stats.cells_encoded;
 
   if (c.kind == CellKind::kLut) {
     std::uint32_t base = 0;
-    lut_unknowns(c, lit_scratch_, pos_scratch_, base);
+    lut_unknowns(c, off, lit_scratch_, pos_scratch_, base);
     const std::vector<EncVal> unknowns = lit_scratch_;
     const std::vector<int> positions = pos_scratch_;
     const auto it = known_.find(id);
     const std::uint32_t combos = 1u << unknowns.size();
     for (std::size_t copy = 0; copy < copy_var_.size(); ++copy) {
-      const Var out = copy_out_var(copy, id, stats);
+      const Var out = copy_out_var(copy, slot, stats);
       std::vector<Lit> premise(unknowns.size());
       for (std::uint32_t m = 0; m < combos; ++m) {
         std::uint32_t row = base;
@@ -336,13 +361,13 @@ void DipEncoder::emit_cell(CellId id, DipEncodeStats& stats) {
 
   bool invert = false;
   EncVal folded;
-  if (normalize_gate(c, lit_scratch_, invert, folded)) {
+  if (normalize_gate(c, off, lit_scratch_, invert, folded)) {
     throw std::logic_error("DipEncoder: folded cell reached emission");
   }
   const std::vector<EncVal> lits = lit_scratch_;
   const bool is_xor = (c.kind == CellKind::kXor || c.kind == CellKind::kXnor);
   for (std::size_t copy = 0; copy < copy_var_.size(); ++copy) {
-    const Var out = copy_out_var(copy, id, stats);
+    const Var out = copy_out_var(copy, slot, stats);
     if (is_xor) {
       // XNOR folds into the chain by complementing the first literal.
       Lit acc = lit_of(copy, lits[0]);
@@ -377,8 +402,13 @@ void DipEncoder::emit_cell(CellId id, DipEncodeStats& stats) {
 DipEncodeStats DipEncoder::add_io_pair(const std::vector<bool>& inputs,
                                        const std::vector<bool>& response,
                                        bool units_only) {
-  const std::size_t n_in = nl_->inputs().size() + nl_->dffs().size();
-  const std::size_t n_out = nl_->outputs().size() + nl_->dffs().size();
+  const std::size_t n_pi = nl_->inputs().size();
+  const std::size_t n_po = nl_->outputs().size();
+  const std::size_t n_ff = nl_->dffs().size();
+  const bool scan = frames_ == kScan;
+  const int frames = frame_count();
+  const std::size_t n_in = scan ? n_pi + n_ff : n_pi * frames;
+  const std::size_t n_out = scan ? n_po + n_ff : n_po * frames;
   if (inputs.size() != n_in || response.size() != n_out) {
     throw std::invalid_argument("DipEncoder: I/O arity mismatch");
   }
@@ -386,42 +416,52 @@ DipEncodeStats DipEncoder::add_io_pair(const std::vector<bool>& inputs,
   ++epoch_;
   fold_pattern(inputs);
 
-  // Gather the folded output values: POs, then flip-flop D pins.
+  // Gather the folded observed values: each frame's POs, then (scan pair)
+  // the flip-flop D pins.
   std::vector<std::pair<EncVal, bool>> pinned;  // complex outputs only
-  std::size_t slot = 0;
-  const auto consume = [&](CellId driver) {
-    const EncVal v = vals_[driver];
-    const bool bit = response[slot++];
+  std::size_t bit = 0;
+  const auto consume = [&](CellId slot) {
+    const EncVal v = vals_[slot];
+    const bool value = response[bit++];
     switch (v.kind) {
       case EncVal::kConst:
-        if (v.neg != bit) {
+        if (v.neg != value) {
           throw std::logic_error(
               "DipEncoder: oracle response contradicts a folded constant");
         }
         break;
       case EncVal::kKey:
-        resolve_row(v.node, v.row, bit != v.neg, stats);
+        resolve_row(v.node, v.row, value != v.neg, stats);
         break;
       case EncVal::kCell:
         ++stats.complex_outputs;
-        if (!units_only) pinned.emplace_back(v, bit);
+        if (!units_only) pinned.emplace_back(v, value);
         break;
     }
   };
-  for (const CellId id : nl_->outputs()) consume(id);
-  for (const CellId id : nl_->dffs()) consume(nl_->cell(id).fanins.at(0));
+  for (int f = 0; f < frames; ++f) {
+    const CellId off = static_cast<CellId>(f) * n_;
+    for (const CellId id : nl_->outputs()) consume(off + id);
+  }
+  if (scan) {
+    for (const CellId id : nl_->dffs()) consume(nl_->cell(id).fanins.at(0));
+  }
   if (units_only || pinned.empty()) return stats;
 
-  for (const auto& [v, bit] : pinned) mark_needed(v.node);
-  for (const CellId id : nl_->topo_order()) {
-    if (needed_stamp_[id] != epoch_) continue;
-    const EncVal v = vals_[id];
-    if (v.kind == EncVal::kCell && v.node == id) emit_cell(id, stats);
+  for (const auto& [v, value] : pinned) mark_needed(v.node);
+  for (int f = 0; f < frames; ++f) {
+    const CellId off = static_cast<CellId>(f) * n_;
+    for (const CellId id : nl_->topo_order()) {
+      const CellId slot = off + id;
+      if (needed_stamp_[slot] != epoch_) continue;
+      const EncVal v = vals_[slot];
+      if (v.kind == EncVal::kCell && v.node == slot) emit_cell(slot, stats);
+    }
   }
-  for (const auto& [v, bit] : pinned) {
+  for (const auto& [v, value] : pinned) {
     for (std::size_t copy = 0; copy < copy_var_.size(); ++copy) {
       const Lit l = lit_of(copy, v);
-      solver_->add_unit(bit ? l : ~l);
+      solver_->add_unit(value ? l : ~l);
       ++stats.clauses_added;
     }
   }

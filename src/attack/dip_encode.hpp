@@ -1,14 +1,14 @@
 // Cone-pruned constant-folded encoding of oracle I/O pairs.
 //
-// The naive SAT-attack loop re-encodes two complete circuit copies per DIP
-// (O(gates) clauses per iteration) even though every pinned input is a
-// known constant. Under a concrete input pattern the attacker can constant-
-// fold the whole netlist except where unresolved LUT rows feed the logic: a
-// LUT whose inputs all fold to constants *is* its (unknown) selected key
-// row, a gate with one unknown fan-in is an alias of it, and only gates
-// with two or more irreducible unknown fan-ins need fresh variables and
-// clauses. Per-pair CNF growth therefore tracks the unresolved key fan-out
-// cone, not the circuit.
+// Re-encoding two complete circuit copies per DIP costs O(gates) clauses
+// per iteration even though every pinned input is a known constant. Under
+// a concrete input pattern the attacker can constant-fold the whole
+// netlist except where unresolved LUT rows feed the logic: a LUT whose
+// inputs all fold to constants *is* its (unknown) selected key row, a gate
+// with one unknown fan-in is an alias of it, and only gates with two or
+// more irreducible unknown fan-ins need fresh variables and clauses.
+// Per-pair CNF growth therefore tracks the unresolved key fan-out cone,
+// not the circuit.
 //
 // Folding also resolves key bits outright: an output that collapses to a
 // single key-row literal pins that row to the oracle's response bit — a
@@ -16,6 +16,13 @@
 // and treated as a constant by every later fold, so cones keep shrinking as
 // the attack learns. The simulation-guided warm-up exploits exactly this
 // with `units_only` sweeps of cheap random patterns.
+//
+// A pair spans a frame count. The scan pair (`kScan`) is one frame whose
+// flip-flop state is given as inputs and whose D pins are observed. A
+// sequence pair of F >= 1 frames starts from the all-zero reset state:
+// frame f's flip-flops hold frame f-1's folded D-pin values, every frame
+// reads the same key rows, and only each frame's POs are observed. A key
+// row buried D flip-flops deep thus only surfaces from frame D on.
 //
 // One encoder instance serves N key copies (the two miter copies of the
 // attack): the fold is shared, clause emission is replicated per copy
@@ -46,19 +53,24 @@ class DipEncoder {
  public:
   using KeyVars = std::map<std::string, std::vector<sat::Var>>;
 
+  /// Frame count of the scan pair: one frame, state given, D pins observed.
+  static constexpr int kScan = 0;
+
   /// `key_copies` holds one symbolic key-variable map per encoded circuit
   /// copy (as produced by encode_comb with symbolic_keys); every copy must
-  /// cover all LUTs of `nl`. The netlist and the solver must outlive the
-  /// encoder.
+  /// cover all LUTs of `nl`. `frames` is kScan or a reset-started sequence
+  /// length >= 1. The netlist and the solver must outlive the encoder.
   DipEncoder(sat::Solver& solver, const Netlist& nl,
-             std::vector<const KeyVars*> key_copies);
+             std::vector<const KeyVars*> key_copies, int frames = kScan);
 
-  /// Constrain every key copy with one oracle pair: `inputs` is PI bits
-  /// then FF state bits, `response` PO bits then next-state bits. With
-  /// `units_only`, only outputs that fold to key-row literals are pinned
-  /// (no clause emission for complex cones — the cheap warm-up mode).
-  /// Throws std::logic_error if the response contradicts a folded constant
-  /// (the oracle does not match the netlist).
+  /// Constrain every key copy with one oracle pair. Scan pair: `inputs` is
+  /// PI bits then FF state bits, `response` PO bits then next-state bits.
+  /// Sequence pair: `inputs` is each frame's PI bits, `response` each
+  /// frame's PO bits, frame after frame. With `units_only`, only outputs
+  /// that fold to key-row literals are pinned (no clause emission for
+  /// complex cones — the cheap warm-up mode). Throws std::logic_error if
+  /// the response contradicts a folded constant (the oracle does not match
+  /// the netlist).
   DipEncodeStats add_io_pair(const std::vector<bool>& inputs,
                              const std::vector<bool>& response,
                              bool units_only = false);
@@ -68,14 +80,15 @@ class DipEncoder {
   int resolved_row_bits() const { return resolved_bits_; }
 
  private:
-  /// Folded value of a cell under the current pattern: a constant, a
-  /// (possibly complemented) key-row literal, or a (possibly complemented)
-  /// reference to a complex cell that needs encoding.
+  /// Folded value of a cell in one frame under the current pattern: a
+  /// constant, a (possibly complemented) key-row literal, or a (possibly
+  /// complemented) reference to a complex cell that needs encoding. Cell
+  /// `id` of frame f is slot f * nl.size() + id.
   struct EncVal {
     enum Kind : std::uint8_t { kConst, kKey, kCell };
     Kind kind = kConst;
     bool neg = false;  ///< kConst: the value; otherwise: complemented
-    CellId node = 0;   ///< kKey: the LUT; kCell: the defining cell
+    CellId node = 0;   ///< kKey: the LUT; kCell: the defining slot
     std::uint32_t row = 0;  ///< kKey only
 
     bool same_node(const EncVal& o) const {
@@ -87,26 +100,30 @@ class DipEncoder {
   };
 
   static EncVal make_const(bool v) { return {EncVal::kConst, v, 0, 0}; }
+  int frame_count() const { return frames_ == kScan ? 1 : frames_; }
 
   void fold_pattern(const std::vector<bool>& inputs);
-  EncVal fold_cell(CellId id);
-  /// AND-normal form of a standard gate: fills `lits` (deduplicated), sets
-  /// `invert`; returns true with `folded` set when the gate collapses.
-  bool normalize_gate(const Cell& c, std::vector<EncVal>& lits, bool& invert,
-                      EncVal& folded) const;
+  EncVal fold_cell(CellId off, CellId id);
+  /// AND-normal form of a standard gate whose fan-ins are read at frame
+  /// offset `off`: fills `lits` (deduplicated), sets `invert`; returns true
+  /// with `folded` set when the gate collapses.
+  bool normalize_gate(const Cell& c, CellId off, std::vector<EncVal>& lits,
+                      bool& invert, EncVal& folded) const;
   /// Unknown-input positions and the constant base row of a LUT.
-  void lut_unknowns(const Cell& c, std::vector<EncVal>& unknowns,
+  void lut_unknowns(const Cell& c, CellId off, std::vector<EncVal>& unknowns,
                     std::vector<int>& positions, std::uint32_t& base) const;
 
   void resolve_row(CellId lut, std::uint32_t row, bool value,
                    DipEncodeStats& stats);
-  void mark_needed(CellId id);
-  void emit_cell(CellId id, DipEncodeStats& stats);
-  sat::Var copy_out_var(std::size_t copy, CellId id, DipEncodeStats& stats);
+  void mark_needed(CellId slot);
+  void emit_cell(CellId slot, DipEncodeStats& stats);
+  sat::Var copy_out_var(std::size_t copy, CellId slot, DipEncodeStats& stats);
   sat::Lit lit_of(std::size_t copy, const EncVal& v) const;
 
   sat::Solver* solver_;
   const Netlist* nl_;
+  int frames_;      ///< kScan or the sequence length
+  CellId n_;        ///< cells per frame
   /// Per copy, per LUT cell: that copy's key variables (resolved from the
   /// name-keyed maps once, at construction).
   std::vector<std::vector<std::vector<sat::Var>>> key_by_cell_;
@@ -114,9 +131,10 @@ class DipEncoder {
   LutKnowledgeMap known_;
   int resolved_bits_ = 0;
 
-  // Per-pattern scratch, epoch-stamped to avoid O(cells) clears.
+  // Per-pattern scratch over every frame's slots, epoch-stamped to avoid
+  // O(cells) clears.
   std::vector<EncVal> vals_;
-  std::vector<std::vector<sat::Var>> copy_var_;  ///< [copy][cell]
+  std::vector<std::vector<sat::Var>> copy_var_;  ///< [copy][slot]
   std::vector<std::uint32_t> var_stamp_;
   std::vector<std::uint32_t> needed_stamp_;
   std::uint32_t epoch_ = 0;

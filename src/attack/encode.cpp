@@ -129,7 +129,8 @@ EncodedCircuit encode_comb(sat::Solver& solver, const Netlist& nl,
     for (const CellId id : nl.dffs()) enc.cell_var[id] = enc.input_vars[slot++];
   }
 
-  // Key taint: a cell depends on the key iff it is a LUT or any fanin does.
+  // Key taint: a cell depends on the key iff it is a LUT or any fanin does;
+  // an input is tainted iff its variable differs from the prior copy's.
   // With share_key_free_cells, untainted cells reuse the prior copy's
   // variables instead of being re-encoded.
   std::vector<char> tainted;
@@ -145,7 +146,10 @@ EncodedCircuit encode_comb(sat::Solver& solver, const Netlist& nl,
     tainted.assign(nl.size(), 0);
     for (const CellId id : nl.topo_order()) {
       const Cell& c = nl.cell(id);
-      if (c.kind == CellKind::kInput || c.kind == CellKind::kDff) continue;
+      if (c.kind == CellKind::kInput || c.kind == CellKind::kDff) {
+        tainted[id] = enc.cell_var[id] != (*opt.share_key_free_cells)[id];
+        continue;
+      }
       char t = (c.kind == CellKind::kLut) ? 1 : 0;
       for (const CellId f : c.fanins) t |= tainted[f];
       tainted[id] = t;
@@ -235,17 +239,17 @@ EncodedCircuit encode_comb(sat::Solver& solver, const Netlist& nl,
   return enc;
 }
 
-sat::Var add_miter(sat::Solver& solver, const EncodedCircuit& a,
-                   const EncodedCircuit& b) {
-  if (a.output_vars.size() != b.output_vars.size()) {
+sat::Var add_miter(sat::Solver& solver, const std::vector<sat::Var>& a,
+                   const std::vector<sat::Var>& b) {
+  if (a.size() != b.size()) {
     throw std::invalid_argument("add_miter: output arity mismatch");
   }
   std::vector<sat::Lit> any_diff;
   const sat::Var m = solver.new_var();
   any_diff.push_back(sat::neg(m));
-  for (std::size_t i = 0; i < a.output_vars.size(); ++i) {
-    const sat::Var x = a.output_vars[i];
-    const sat::Var y = b.output_vars[i];
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const sat::Var x = a[i];
+    const sat::Var y = b[i];
     // Cone-shared output (key-free logic encoded once): can never differ.
     if (x == y) continue;
     const sat::Var d = solver.new_var();
@@ -275,7 +279,7 @@ bool comb_equivalent(const Netlist& a, const Netlist& b,
   EncodeOptions opt_b;
   opt_b.share_inputs = &ea.input_vars;
   const EncodedCircuit eb = encode_comb(solver, b, opt_b);
-  const sat::Var m = add_miter(solver, ea, eb);
+  const sat::Var m = add_miter(solver, ea.output_vars, eb.output_vars);
   solver.set_conflict_budget(conflict_budget);
   const sat::Lit assume[] = {sat::pos(m)};
   const sat::Result r = solver.solve(assume);

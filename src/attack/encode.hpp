@@ -41,9 +41,11 @@ struct EncodeOptions {
   const std::map<std::string, std::vector<sat::Var>>* share_keys = nullptr;
   /// Cone-of-influence sharing for miters: reuse these cell variables (the
   /// `cell_var` of a prior encoding of the *same* netlist in the *same*
-  /// solver) for every cell whose fanin cone contains no LUT. Key-free
-  /// logic computes the same value in both miter copies, so it only needs
-  /// one CNF encoding; only the key-tainted cone is duplicated. Requires
+  /// solver) for every cell whose fanin cone contains no LUT and no input
+  /// whose variable differs from the prior encoding's (an unrolled frame's
+  /// flip-flop carrying key taint from an earlier frame). Key-free logic
+  /// computes the same value in both miter copies, so it only needs one CNF
+  /// encoding; only the key-tainted cone is duplicated. Requires
   /// share_inputs (the shared cells are functions of those input vars).
   const std::vector<sat::Var>* share_key_free_cells = nullptr;
 };
@@ -51,12 +53,13 @@ struct EncodeOptions {
 EncodedCircuit encode_comb(sat::Solver& solver, const Netlist& nl,
                            const EncodeOptions& opt = {});
 
-/// Adds a miter over the two encodings: returns a variable m with
-/// m -> (outputs differ somewhere). Solving under assumption m searches for
-/// a distinguishing input; the reverse implication is also added so a model
-/// with m=false has all outputs equal.
-sat::Var add_miter(sat::Solver& solver, const EncodedCircuit& a,
-                   const EncodedCircuit& b);
+/// Adds a miter over two equally long output-variable lists: returns a
+/// variable m with m -> (outputs differ somewhere). Solving under
+/// assumption m searches for a distinguishing input; the reverse
+/// implication is also added so a model with m=false has all outputs equal.
+/// Positions holding the same variable in both lists are skipped.
+sat::Var add_miter(sat::Solver& solver, const std::vector<sat::Var>& a,
+                   const std::vector<sat::Var>& b);
 
 /// Combinational (scan-view) equivalence of two configured netlists with
 /// identical interfaces. `proven` is set false if the conflict budget ran

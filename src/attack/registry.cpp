@@ -77,9 +77,7 @@ UnifiedResult run_sat(const Ctx& c) {
   opt.overlay(c.common);
   opt.parallel = c.parallel;
   for (const auto& [k, v] : c.tuning) {
-    if (k == "naive") {
-      opt.cone_pruning = !truthy(v);
-    } else if (k == "max_iterations") {
+    if (k == "max_iterations") {
       opt.max_iterations = parse_knob("sat", k, v, 1);
     } else if (k == "warmup_words") {
       opt.warmup_words = parse_knob("sat", k, v, 0);
@@ -118,6 +116,8 @@ UnifiedResult run_seq(const Ctx& c) {
   UnifiedResult u;
   fold_base(u, r);
   u.iterations = static_cast<std::uint64_t>(r.iterations);
+  u.conflicts = r.conflicts;
+  u.sat = r.stats;
   std::ostringstream d;
   d << "sequences=" << r.iterations << " frames=" << opt.frames
     << " cycles=" << r.queries;
@@ -354,8 +354,7 @@ const std::map<std::string, AttackInfo, std::less<>>& catalogue_entries() {
        {"sat",
         "oracle-guided SAT attack (DIP refinement, cone-pruned encoding, "
         "simulation warm-up)",
-        {{"naive", "0", "legacy full-copy DIP encoding"},
-         {"max_iterations", "512", "DIP cap (>= 1)"},
+        {{"max_iterations", "512", "DIP cap (>= 1)"},
          {"warmup_words", "4", "64-pattern simulation words seeding the "
                                "learned-row warm-up (0 disables)"}}}},
       {"sens",

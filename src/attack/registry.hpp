@@ -41,7 +41,8 @@ namespace stt::attack {
 /// name; `detail` is a one-line human summary of the attack-specific fields
 /// (rows resolved, final accuracy, correlation margin, ...); `iterations`
 /// is the attack's dominant progress count (DIPs, annealing steps, key
-/// combinations, resolved rows); `sat` is populated for "sat" only.
+/// combinations, resolved rows); `conflicts` and `sat` are populated by the
+/// two DIP-loop attacks, "sat" and "seq".
 struct UnifiedResult : AttackBase {
   std::string attack;
   std::string detail;

@@ -19,24 +19,6 @@ obs::Counter& dip_counter() {
   return c;
 }
 
-// Pin an encoded copy's inputs to a concrete pattern and its outputs to the
-// oracle's response (legacy full-copy encoding).
-void constrain_io(sat::Solver& solver, const EncodedCircuit& enc,
-                  const std::vector<bool>& in, const std::vector<bool>& out) {
-  for (std::size_t i = 0; i < enc.input_vars.size(); ++i) {
-    solver.add_unit(in[i] ? sat::pos(enc.input_vars[i])
-                          : sat::neg(enc.input_vars[i]));
-  }
-  for (std::size_t i = 0; i < enc.output_vars.size(); ++i) {
-    solver.add_unit(out[i] ? sat::pos(enc.output_vars[i])
-                           : sat::neg(enc.output_vars[i]));
-  }
-}
-
-double remaining_deadline(const Timer& timer, const SatAttackOptions& opt) {
-  return std::max(0.0, opt.time_limit_s - timer.seconds());
-}
-
 void extract_key(const sat::Solver& solver,
                  const std::map<std::string, std::vector<sat::Var>>& key_vars,
                  LutKey& key) {
@@ -87,70 +69,108 @@ void warm_up(DipEncoder& enc, ScanOracle& oracle, const SatAttackOptions& opt,
   }
 }
 
-// The DIP loop of both engines: one solver, one miter, one solve per DIP.
-// The cone-pruned engine folds every I/O pair into the key cones it leaves
-// unresolved (after the optional warm-up); the legacy engine
-// (`cone_pruning` off, the benchmark baseline) re-encodes two full
-// symbolic copies per pair.
-SatAttackResult run_dip_loop(const Netlist& hybrid, ScanOracle& oracle,
-                             const SatAttackOptions& opt) {
+// The two key-differentiated copies of the attacker's view, unrolled over
+// the loop's frames, and one miter per frame.
+struct Miter {
+  std::vector<sat::Var> inputs;  ///< attacker-chosen bits, in pair layout
+  DipEncoder::KeyVars key_a;
+  DipEncoder::KeyVars key_b;
+  std::vector<sat::Var> diffs;  ///< per frame: diff -> an observed bit differs
+};
+
+// Encode both copies frame by frame. A sequence starts from the all-zero
+// reset state, frame f's flip-flops read frame f-1's D pins, and only POs
+// are observed; the scan pair's one frame takes the flip-flop state as
+// chosen inputs and also observes the D pins. Each frame of copy b shares
+// copy a's variables for every cell whose value cannot differ between the
+// copies: key-free logic whose flip-flop inputs carry no key taint from
+// earlier frames (see EncodeOptions).
+Miter encode_miter(sat::Solver& solver, const Netlist& nl, int frames) {
+  const bool scan = frames == DipEncoder::kScan;
+  const std::size_t n_pi = nl.inputs().size();
+  const std::size_t n_po = nl.outputs().size();
+  Miter m;
+  std::vector<sat::Var> state_a;
+  std::vector<sat::Var> state_b;
+  if (!scan) {
+    const sat::Var reset = solver.new_var();
+    solver.add_unit(sat::neg(reset));
+    state_a.assign(nl.dffs().size(), reset);
+    state_b = state_a;
+  }
+  for (int f = 0; f < std::max(frames, 1); ++f) {
+    std::vector<sat::Var> in_a;
+    const std::size_t chosen = scan ? n_pi + nl.dffs().size() : n_pi;
+    for (std::size_t i = 0; i < chosen; ++i) in_a.push_back(solver.new_var());
+    m.inputs.insert(m.inputs.end(), in_a.begin(), in_a.end());
+    std::vector<sat::Var> in_b = in_a;
+    in_a.insert(in_a.end(), state_a.begin(), state_a.end());
+    in_b.insert(in_b.end(), state_b.begin(), state_b.end());
+
+    EncodeOptions opt_a;
+    opt_a.symbolic_keys = true;
+    opt_a.share_inputs = &in_a;
+    if (f > 0) opt_a.share_keys = &m.key_a;
+    const EncodedCircuit a = encode_comb(solver, nl, opt_a);
+    EncodeOptions opt_b = opt_a;
+    opt_b.share_inputs = &in_b;
+    opt_b.share_keys = f > 0 ? &m.key_b : nullptr;
+    opt_b.share_key_free_cells = &a.cell_var;
+    const EncodedCircuit b = encode_comb(solver, nl, opt_b);
+    if (f == 0) {
+      m.key_a = a.key_vars;
+      m.key_b = b.key_vars;
+    }
+
+    const std::size_t n_obs = scan ? a.output_vars.size() : n_po;
+    m.diffs.push_back(add_miter(
+        solver, {a.output_vars.begin(), a.output_vars.begin() + n_obs},
+        {b.output_vars.begin(), b.output_vars.begin() + n_obs}));
+    state_a.assign(a.output_vars.begin() + n_po, a.output_vars.end());
+    state_b.assign(b.output_vars.begin() + n_po, b.output_vars.end());
+  }
+  return m;
+}
+
+}  // namespace
+
+SatAttackResult run_dip_loop(const Netlist& hybrid, int frames,
+                             const DipQuery& query,
+                             const attack::CommonAttackOptions& opt,
+                             int max_iterations, const DipWarmUp& warm_up) {
   SatAttackResult result;
   const Timer timer;
-  const std::uint64_t queries_before = oracle.queries();
 
   sat::Solver solver;
-  EncodeOptions symbolic;
-  symbolic.symbolic_keys = true;
-  const EncodedCircuit copy_a = encode_comb(solver, hybrid, symbolic);
-  EncodeOptions opt_b = symbolic;
-  opt_b.share_inputs = &copy_a.input_vars;
-  // Cone-of-influence sharing: only the key-tainted cone is duplicated in
-  // the second copy; key-free logic is encoded once and the miter skips
-  // outputs that cannot differ.
-  if (opt.cone_pruning) opt_b.share_key_free_cells = &copy_a.cell_var;
-  const EncodedCircuit copy_b = encode_comb(solver, hybrid, opt_b);
-  const sat::Var miter = add_miter(solver, copy_a, copy_b);
-  if (copy_a.key_vars.empty()) {
-    throw std::invalid_argument("run_sat_attack: netlist has no LUTs");
+  const Miter miter = encode_miter(solver, hybrid, frames);
+  if (miter.key_a.empty()) {
+    throw std::invalid_argument("SAT attack: netlist has no LUTs");
   }
-
-  std::optional<DipEncoder> enc;
-  if (opt.cone_pruning) {
-    enc.emplace(solver, hybrid,
-                std::vector<const DipEncoder::KeyVars*>{&copy_a.key_vars,
-                                                        &copy_b.key_vars});
-    if (opt.warmup_words > 0) warm_up(*enc, oracle, opt, result.stats);
-  }
+  DipEncoder enc(solver, hybrid,
+                 std::vector<const DipEncoder::KeyVars*>{&miter.key_a,
+                                                         &miter.key_b},
+                 frames);
+  if (warm_up) warm_up(enc, result.stats);
   result.stats.cnf_initial_clauses = solver.clauses_added();
 
-  // Constrain both key sets with one observed (input, response) pair.
-  const auto add_pair = [&](const std::vector<bool>& in,
-                            const std::vector<bool>& out) {
-    if (enc) {
-      result.stats.key_rows_resolved +=
-          enc->add_io_pair(in, out, false).key_rows_resolved;
-      return;
-    }
-    for (const auto* keys : {&copy_a.key_vars, &copy_b.key_vars}) {
-      EncodeOptions io;
-      io.symbolic_keys = true;
-      io.share_keys = keys;
-      constrain_io(solver, encode_comb(solver, hybrid, io), in, out);
-    }
-  };
   const auto note_unknown = [&]() {
     result.outcome = solver.last_stop() == sat::StopCause::kDeadline
                          ? attack::Outcome::kTimedOut
                          : attack::Outcome::kBudgetExhausted;
   };
 
-  const sat::Lit assume_diff[] = {sat::pos(miter)};
+  // Distinguishing inputs are sought frame by frame: once no key pair left
+  // can differ in frame f, that frame's outputs are asserted equal and the
+  // search moves to frame f + 1. Later pairs only shrink the key space, so
+  // the assertion stays implied, and each proof is about one frame given
+  // equal earlier frames rather than about all frames at once.
+  std::size_t frame = 0;
   while (true) {
     if (timer.seconds() > opt.time_limit_s) {
       result.outcome = attack::Outcome::kTimedOut;
       break;
     }
-    if (result.iterations >= opt.max_iterations) {
+    if (result.iterations >= max_iterations) {
       result.outcome = attack::Outcome::kBudgetExhausted;
       break;
     }
@@ -159,12 +179,17 @@ SatAttackResult run_dip_loop(const Netlist& hybrid, ScanOracle& oracle,
     {
       STTLOCK_SPAN("sat-dip", "solve");
       solver.set_conflict_budget(opt.work_budget);
-      solver.set_deadline(remaining_deadline(timer, opt));
+      solver.set_deadline(std::max(0.0, opt.time_limit_s - timer.seconds()));
+      const sat::Lit assume_diff[] = {sat::pos(miter.diffs[frame])};
       r = solver.solve(assume_diff);
     }
     if (r == sat::Result::kUnknown) {
       note_unknown();
       break;
+    }
+    if (r == sat::Result::kUnsat && frame + 1 < miter.diffs.size()) {
+      solver.add_unit(sat::neg(miter.diffs[frame++]));
+      continue;
     }
     if (r == sat::Result::kUnsat) {
       // No distinguishing input remains: any key consistent with the
@@ -176,7 +201,7 @@ SatAttackResult run_dip_loop(const Netlist& hybrid, ScanOracle& oracle,
         if (final_r == sat::Result::kUnknown) note_unknown();
         break;
       }
-      extract_key(solver, copy_a.key_vars, result.key);
+      extract_key(solver, miter.key_a, result.key);
       result.outcome = attack::Outcome::kSolved;
       break;
     }
@@ -184,16 +209,16 @@ SatAttackResult run_dip_loop(const Netlist& hybrid, ScanOracle& oracle,
     // SAT: read the DIP, query the chip, constrain both key sets.
     ++result.iterations;
     dip_counter().add(1);
-    std::vector<bool> dip(copy_a.input_vars.size());
+    std::vector<bool> dip(miter.inputs.size());
     for (std::size_t i = 0; i < dip.size(); ++i) {
-      dip[i] = solver.value(copy_a.input_vars[i]);
+      dip[i] = solver.value(miter.inputs[i]);
     }
-    const std::vector<bool> response = oracle.query(dip);
+    const std::vector<bool> response = query(dip);
     STTLOCK_SPAN("sat-dip", "encode");
-    add_pair(dip, response);
+    result.stats.key_rows_resolved +=
+        enc.add_io_pair(dip, response, false).key_rows_resolved;
   }
 
-  result.queries = oracle.queries() - queries_before;
   result.conflicts = solver.conflicts();
   result.stats.decisions = solver.decisions();
   result.stats.propagations = solver.propagations();
@@ -209,13 +234,18 @@ SatAttackResult run_dip_loop(const Netlist& hybrid, ScanOracle& oracle,
   return result;
 }
 
-}  // namespace
-
 SatAttackResult run_sat_attack(const Netlist& hybrid, ScanOracle& oracle,
                                const SatAttackOptions& opt) {
   std::optional<obs::Span> root;
   if (opt.trace) root.emplace("attack", "sat");
-  SatAttackResult result = run_dip_loop(hybrid, oracle, opt);
+  const std::uint64_t queries_before = oracle.queries();
+  SatAttackResult result = run_dip_loop(
+      hybrid, DipEncoder::kScan,
+      [&](const std::vector<bool>& dip) { return oracle.query(dip); }, opt,
+      opt.max_iterations, [&](DipEncoder& enc, SatAttackStats& stats) {
+        if (opt.warmup_words > 0) warm_up(enc, oracle, opt, stats);
+      });
+  result.queries = oracle.queries() - queries_before;
   result.span_id = root ? root->id() : 0;
   return result;
 }

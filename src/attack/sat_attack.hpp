@@ -8,16 +8,20 @@
 // observed I/O pair; when no DIP remains, any satisfying key is
 // functionally correct on the scan view.
 //
-// Engine (fast path, `cone_pruning`): the miter is encoded once; every
-// queried (dip, response) pair is then constant-folded in the attacker's
-// view and only the unresolved key cones emit clauses (attack/dip_encode.*),
-// so per-iteration CNF growth tracks the key cone instead of the circuit.
+// Engine: the miter is encoded once, with cone-of-influence sharing (only
+// the key-tainted cone is duplicated in the second copy); every queried
+// (dip, response) pair is then constant-folded in the attacker's view and
+// only the unresolved key cones emit clauses (attack/dip_encode.*), so
+// per-iteration CNF growth tracks the key cone instead of the circuit.
 // Before the DIP loop a simulation-guided warm-up floods the oracle with
 // cheap word-parallel random patterns (CompiledSim under ScanOracle::
 // query_batch) and harvests the key rows that fold to single literals as
 // unit constraints. One deterministic solver runs the whole attack: each
 // DIP is one solve capped by `work_budget` conflicts, and after the final
 // UNSAT the key is read from the same solver.
+//
+// The no-scan attack (attack/seq_attack.hpp) runs the same loop,
+// `run_dip_loop`, on F unrolled frames.
 //
 // This is the strongest practical attack the paper argues against; the
 // reproduction uses it to *validate* the paper's security ordering:
@@ -26,12 +30,17 @@
 // budget (see bench/bench_attack_validation, bench/bench_sat_perf).
 #pragma once
 
+#include <functional>
+#include <vector>
+
 #include "attack/common.hpp"
 #include "attack/oracle.hpp"
 #include "core/hybrid.hpp"
 #include "netlist/netlist.hpp"
 
 namespace stt {
+
+class DipEncoder;
 
 struct SatAttackOptions : attack::CommonAttackOptions {
   /// Historical defaults: `time_limit_s` is a wall-clock cap honored
@@ -47,10 +56,6 @@ struct SatAttackOptions : attack::CommonAttackOptions {
 
   int max_iterations = 512;
 
-  /// Cone-pruned constant-folded DIP encoding (the fast engine). Off =
-  /// the legacy two-full-copies-per-DIP encoding, kept as the benchmark
-  /// baseline; the legacy path ignores warm-up.
-  bool cone_pruning = true;
   /// Simulation-guided warm-up: 64*warmup_words random oracle patterns are
   /// folded for free key bits before the DIP loop. 0 disables.
   int warmup_words = 4;
@@ -85,6 +90,28 @@ struct SatAttackResult : attack::AttackBase {
   std::int64_t conflicts = 0;  ///< DIP solves + key extraction
   SatAttackStats stats;
 };
+
+/// One oracle query of the DIP loop: the attacker-chosen bits of a pair in,
+/// the observed bits out, in DipEncoder's pair layout for the loop's frame
+/// count.
+using DipQuery = std::function<std::vector<bool>(const std::vector<bool>&)>;
+/// Work done on the encoder before the first solve (the scan warm-up); its
+/// clauses count as `cnf_initial_clauses`.
+using DipWarmUp = std::function<void(DipEncoder&, SatAttackStats&)>;
+
+/// The DIP loop of both SAT attacks. `frames` is DipEncoder::kScan (scan
+/// pairs) or the unrolling depth of a reset-started sequence, searched
+/// frame by frame: a frame's outputs are asserted equal once no key pair
+/// left can tell them apart, then the next frame is searched. Honours
+/// `opt.time_limit_s` (also inside each solve) and `opt.work_budget` (per
+/// solve) and stops after `max_iterations` DIPs. Fills every field but
+/// `queries` and `span_id`, which depend on the caller's oracle and span.
+/// Throws std::invalid_argument when `hybrid` has no LUTs.
+SatAttackResult run_dip_loop(const Netlist& hybrid, int frames,
+                             const DipQuery& query,
+                             const attack::CommonAttackOptions& opt,
+                             int max_iterations,
+                             const DipWarmUp& warm_up = {});
 
 /// `hybrid` is the attacker's netlist (LUT masks ignored / treated unknown);
 /// `oracle` wraps the configured chip.

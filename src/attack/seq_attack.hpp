@@ -9,10 +9,14 @@
 // need F > D frames before they influence any observable output — this is
 // precisely the D factor of Eqs. (1)-(3) made executable.
 //
-// The implementation unrolls inside the solver: frame f's flip-flop inputs
-// are frame f-1's D-pin variables (frame 0 starts from the all-zero reset
-// state), all frames of one copy share one key-variable set, and the miter
-// spans every frame's primary outputs.
+// The attack is the F-frame case of the scan attack's DIP loop
+// (`run_dip_loop`, attack/sat_attack.hpp): frame f's flip-flop inputs are
+// frame f-1's D pins (frame 0 starts from the all-zero reset state) and
+// all frames of one copy share one key set. The loop seeks sequences that
+// first differ in frame 0, then in frame 1, and so on, asserting each
+// exhausted frame's outputs equal, which keeps every UNSAT proof to one
+// frame. Responses are constant-folded frame by frame (attack/dip_encode.*).
+// There is no warm-up: every random sequence would cost test clocks.
 #pragma once
 
 #include "attack/sat_attack.hpp"
@@ -55,16 +59,16 @@ struct SeqAttackOptions : attack::CommonAttackOptions {
   int max_iterations = 256;
 };
 
-struct SeqAttackResult : attack::AttackBase {
-  /// `success()` = no distinguishing sequence within `frames`; `key` is
-  /// consistent with all observed sequences (when solved); `queries`
-  /// counts oracle *cycles* — the test-clock cost Eqs. (1)-(3) bound.
-  int iterations = 0;
-};
+/// `success()` = no distinguishing sequence within `frames`; `key` is
+/// consistent with all observed sequences (when solved); `iterations`
+/// counts distinguishing sequences and `queries` the oracle *cycles* this
+/// run applied — the test-clock cost Eqs. (1)-(3) bound.
+using SeqAttackResult = SatAttackResult;
 
 /// Attack the hybrid netlist through a reset-and-run oracle. On success the
 /// key reproduces the oracle on *every* input sequence of length <= frames;
 /// longer-horizon behaviour should be validated separately (see tests).
+/// Throws std::invalid_argument when `frames` < 1 or `hybrid` has no LUTs.
 SeqAttackResult run_sequential_sat_attack(const Netlist& hybrid,
                                           SequenceOracle& oracle,
                                           const SeqAttackOptions& opt = {});

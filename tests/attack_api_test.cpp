@@ -15,6 +15,7 @@
 
 #include "attack/brute_force.hpp"
 #include "attack/dpa.hpp"
+#include "attack/encode.hpp"
 #include "attack/guided_sens.hpp"
 #include "attack/ml_attack.hpp"
 #include "attack/oracle.hpp"
@@ -85,6 +86,10 @@ TEST(AttackRegistry, UnknownTuningKeyThrows) {
   EXPECT_THROW(attack::registry().run("sens", locked().view, locked().hybrid,
                                       {}, bad),
                std::invalid_argument);
+  // The retired full-copy engine's switch is an unknown key too.
+  EXPECT_THROW(attack::registry().run("sat", locked().view, locked().hybrid,
+                                      {}, {{"naive", "1"}}),
+               std::invalid_argument);
 }
 
 TEST(AttackRegistry, RejectsBadTuningValuesByName) {
@@ -127,8 +132,7 @@ TEST(AttackRegistry, CatalogueDefaultsMatchOptions) {
   const TraceOptions trace;
   const std::map<std::string, Knobs> expected = {
       {"sat",
-       {{"naive", num(!sat.cone_pruning)},
-        {"max_iterations", num(sat.max_iterations)},
+       {{"max_iterations", num(sat.max_iterations)},
         {"warmup_words", num(sat.warmup_words)}}},
       {"seq",
        {{"frames", num(seq.frames)},
@@ -171,15 +175,19 @@ TEST(AttackRegistry, SatMatchesDirectCall) {
   EXPECT_TRUE(u.success());
 }
 
-TEST(AttackRegistry, SatTuningMatchesDirectNaiveCall) {
+TEST(AttackRegistry, SatTuningMatchesDirectCall) {
   ScanOracle oracle(locked().hybrid);
   SatAttackOptions opt;
-  opt.cone_pruning = false;
+  opt.warmup_words = 0;
+  opt.max_iterations = 40;
   const SatAttackResult direct = run_sat_attack(locked().view, oracle, opt);
   const attack::UnifiedResult u = attack::registry().run(
-      "sat", locked().view, locked().hybrid, {}, {{"naive", "1"}});
+      "sat", locked().view, locked().hybrid, {},
+      {{"warmup_words", "0"}, {"max_iterations", "40"}});
   expect_base_identical(u, direct);
+  EXPECT_EQ(u.iterations, static_cast<std::uint64_t>(direct.iterations));
   EXPECT_EQ(u.conflicts, direct.conflicts);
+  EXPECT_EQ(u.sat.propagations, direct.stats.propagations);
 }
 
 TEST(AttackRegistry, SeqMatchesDirectCall) {
@@ -189,6 +197,16 @@ TEST(AttackRegistry, SeqMatchesDirectCall) {
       attack::registry().run("seq", locked().view, locked().hybrid);
   expect_base_identical(u, direct);
   EXPECT_EQ(u.iterations, static_cast<std::uint64_t>(direct.iterations));
+  EXPECT_EQ(u.conflicts, direct.conflicts);
+  EXPECT_GT(u.conflicts, 0);
+  EXPECT_EQ(u.sat.decisions, direct.stats.decisions);
+  EXPECT_EQ(u.sat.propagations, direct.stats.propagations);
+  EXPECT_EQ(u.sat.peak_clauses, direct.stats.peak_clauses);
+  EXPECT_TRUE(u.success());
+  // The sequential attack's key must also be right on the scan view.
+  Netlist recovered = locked().view;
+  apply_key(recovered, u.key);
+  EXPECT_TRUE(comb_equivalent(recovered, locked().hybrid));
 }
 
 TEST(AttackRegistry, SensMatchesDirectCall) {

@@ -150,6 +150,64 @@ TEST(DipEncode, RejectsAritiesAndBadKeyMaps) {
                std::invalid_argument);
 }
 
+TEST(DipEncode, SequencePairReachesRowsBehindFlipFlops) {
+  // l's output crosses two flip-flops before it reaches o and p, so from
+  // reset its row is first observable in frame 2. m feeds p directly.
+  Netlist nl("deep");
+  const CellId a = nl.add_input("a");
+  const CellId b = nl.add_input("b");
+  const CellId l = nl.add_lut("l", {a}, 0b10);  // BUF, mask unused
+  const CellId m = nl.add_lut("m", {b}, 0b01);  // NOT, mask unused
+  const CellId ff1 = nl.add_dff("ff1", l);
+  const CellId ff2 = nl.add_dff("ff2", ff1);
+  nl.mark_output(nl.add_gate(CellKind::kAnd, "o", {ff2, b}));
+  nl.mark_output(nl.add_gate(CellKind::kXor, "p", {ff2, m}));
+  nl.finalize();
+
+  Encoded e;
+  encode_single(e, nl);
+  const std::vector<const DipEncoder::KeyVars*> keys{&e.circuit.key_vars};
+  // Inputs are frame-major (a, b) pairs, responses (o, p) pairs: a0 = 1
+  // selects l's row 1, b2 = 1 exposes it on o in frame 2, and p2 =
+  // XOR(l[1], m[1]) stays a two-key cone that must be encoded.
+  const std::vector<bool> in{true, false, false, false, false, true};
+  const std::vector<bool> out{false, true, false, true, true, true};
+
+  Encoded e2;
+  encode_single(e2, nl);
+  DipEncoder two(e2.solver, nl,
+                 std::vector<const DipEncoder::KeyVars*>{&e2.circuit.key_vars},
+                 2);
+  EXPECT_EQ(two.add_io_pair({true, false, false, true},
+                            {false, true, false, false})
+                .key_rows_resolved,
+            2);  // m rows 0 and 1 only
+  EXPECT_EQ(two.known_rows().count(l), 0u);
+
+  DipEncoder three(e.solver, nl, keys, 3);
+  const DipEncodeStats st = three.add_io_pair(in, out);
+  EXPECT_EQ(st.key_rows_resolved, 2);  // m row 0 (p0) and l row 1 (o2)
+  EXPECT_EQ(st.complex_outputs, 1);    // p2
+  EXPECT_EQ(st.cells_encoded, 1);      // p in frame 2
+  ASSERT_EQ(three.known_rows().count(l), 1u);
+  EXPECT_TRUE(three.known_rows().at(l).known_mask & 0b10);
+
+  // l[1] = 1 and p2 = 1 force m[1] = 0 through the encoded frame-2 cone.
+  ASSERT_EQ(e.solver.solve(), sat::Result::kSat);
+  EXPECT_TRUE(e.solver.value(e.circuit.key_vars.at("l")[1]));
+  EXPECT_FALSE(e.solver.value(e.circuit.key_vars.at("m")[1]));
+
+  // o0 folds to 0 (ff2 holds the reset state): a response of 1 is the
+  // oracle calling the netlist wrong.
+  std::vector<bool> bad = out;
+  bad[0] = true;
+  EXPECT_THROW(three.add_io_pair(in, bad), std::logic_error);
+  // Sequence pairs carry PI and PO bits per frame, not the scan layout.
+  EXPECT_THROW(three.add_io_pair({true, false, false, false}, out),
+               std::invalid_argument);
+  EXPECT_THROW(DipEncoder(e.solver, nl, keys, -1), std::invalid_argument);
+}
+
 // Property: on random hybrid circuits, the constraints the encoder emits
 // for oracle pairs are always satisfied by the planted key.
 class DipEncodeConsistency : public ::testing::TestWithParam<int> {};

@@ -92,7 +92,7 @@ TEST(Encode, SymbolicKeyConstrainedToTruthBehavesLikeGate) {
   EncodeOptions share;
   share.share_inputs = &el.input_vars;
   const EncodedCircuit ep = encode_comb(solver, plain, share);
-  const sat::Var m = add_miter(solver, el, ep);
+  const sat::Var m = add_miter(solver, el.output_vars, ep.output_vars);
 
   // Pin the key to AND2's truth table: the miter must become UNSAT.
   const std::uint64_t truth = gate_truth_mask(CellKind::kAnd, 2);
@@ -117,7 +117,7 @@ TEST(Encode, WrongKeyMakesMiterSat) {
   EncodeOptions share;
   share.share_inputs = &el.input_vars;
   const EncodedCircuit ep = encode_comb(solver, plain, share);
-  const sat::Var m = add_miter(solver, el, ep);
+  const sat::Var m = add_miter(solver, el.output_vars, ep.output_vars);
   const std::uint64_t wrong = gate_truth_mask(CellKind::kNand, 2);
   for (std::size_t r = 0; r < 4; ++r) {
     solver.add_unit(((wrong >> r) & 1ull) ? sat::pos(el.key_vars.at("y")[r])

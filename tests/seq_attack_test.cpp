@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "attack/seq_attack.hpp"
 #include "core/selection.hpp"
 #include "sim/compiled.hpp"
@@ -105,6 +108,45 @@ TEST(SeqSatAttack, RecoversIndependentLockOnS27) {
   apply_key(recovered, result.key);
   EXPECT_TRUE(sequences_match(recovered, original, 128, 11));
   EXPECT_GT(result.queries, 0u);
+}
+
+TEST(SeqSatAttack, ReusedOracleCountsOnlyThisRunsCycles) {
+  const Netlist original = embedded_netlist("s27");
+  Netlist hybrid = original;
+  const TechLibrary lib = TechLibrary::cmos90_stt();
+  GateSelector selector(lib);
+  SelectionOptions sopt;
+  sopt.seed = 3;
+  sopt.indep_count = 3;
+  (void)selector.run(hybrid, SelectionAlgorithm::kIndependent, sopt);
+
+  SequenceOracle oracle(original);
+  SeqAttackOptions opt;
+  opt.frames = 6;
+  const auto first = run_sequential_sat_attack(foundry_view(hybrid), oracle, opt);
+  const auto second =
+      run_sequential_sat_attack(foundry_view(hybrid), oracle, opt);
+  ASSERT_GT(first.queries, 0u);
+  EXPECT_EQ(second.queries, first.queries);
+  EXPECT_EQ(second.iterations, first.iterations);
+  EXPECT_EQ(oracle.cycles(), first.queries + second.queries);
+}
+
+TEST(SeqSatAttack, FramesBelowOneThrowsNamingFrames) {
+  Netlist original = embedded_netlist("count2");
+  Netlist hybrid = original;
+  hybrid.replace_with_lut(hybrid.find("t0"));
+  for (const int frames : {0, -3}) {
+    SeqAttackOptions opt;
+    opt.frames = frames;
+    try {
+      run_sequential_sat_attack(foundry_view(hybrid), original, opt);
+      ADD_FAILURE() << "frames=" << frames << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("frames"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(SeqSatAttack, TooFewFramesYieldsDegenerateKey) {

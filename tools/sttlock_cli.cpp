@@ -254,7 +254,7 @@ int cmd_attack(const std::vector<std::string>& args) {
               r.success() ? "KEY RECOVERED" : attack::outcome_name(r.outcome),
               r.detail.c_str(), static_cast<unsigned long long>(r.queries),
               r.elapsed_s);
-  if (kind == "sat") {
+  if (kind == "sat" || kind == "seq") {
     std::printf(
         "  decisions %lld, propagations %lld, learned %lld, peak clauses "
         "%lld\n",
