@@ -13,7 +13,11 @@
 //  * lint     — the structural lint layer (STR/HYB rules + SCC cycle scan);
 //  * lower    — CompiledSim instruction lowering (current path only; the
 //               seed replica core is a bench-local type the simulator does
-//               not consume).
+//               not consume);
+//  * scoap    — the security audit's attacker-view SCOAP pass (current
+//               path only);
+//  * seq_depth — the circuit sequential depth D of Eq. (3), which every
+//               security report computes (current path only).
 //
 // The seed path is a pinned replica compiled into this benchmark: the
 // netlist core, .bench reader and structural-lint rule loop exactly as they
@@ -55,6 +59,7 @@
 #include "graph/analysis.hpp"
 #include "io/bench_io.hpp"
 #include "sim/compiled.hpp"
+#include "sim/scoap.hpp"
 #include "synth/generator.hpp"
 #include "util/args.hpp"
 #include "util/strings.hpp"
@@ -730,6 +735,11 @@ int main(int argc, char** argv) {
     cur_lint = run_structural_lint(cur);
   });
   repeat("current", "lower", [&] { const CompiledSim sim(cur); });
+  ScoapOptions attacker_view;
+  attacker_view.attacker_view = true;
+  repeat("current", "scoap",
+         [&] { (void)compute_scoap(cur, attacker_view); });
+  repeat("current", "seq_depth", [&] { (void)circuit_seq_depth(cur); });
   const std::uint64_t cur_checksum = structural_checksum(cur);
 
   // -- seed replica path ----------------------------------------------------

@@ -272,9 +272,11 @@ NETLIST_BENCH_KEYS = {
 NETLIST_BENCH_COUNTS = ("cells", "edges", "luts", "bench_bytes", "findings")
 NETLIST_PHASE_KEYS = {"path", "phase", "reps", "seconds", "cells_per_sec"}
 NETLIST_PATHS = {"current", "seed"}
-# Every path must time at least these phases; "lower" runs on the current
-# path only (the seed replica has no compiled-sim stage).
+# Every path must time at least these phases. The audit passes "scoap" and
+# "seq_depth" (and "lower") run on the current path only: the seed replica
+# core is a bench-local type the library passes do not consume.
 NETLIST_REQUIRED_PHASES = {"parse", "finalize", "topo", "lint"}
+NETLIST_CURRENT_PHASES = {"scoap", "seq_depth"}
 
 
 def validate_netlist_bench(path):
@@ -319,7 +321,10 @@ def validate_netlist_bench(path):
                      " a non-negative number")
         timed[row["path"]].add(row["phase"])
     for p in NETLIST_PATHS:
-        missing = NETLIST_REQUIRED_PHASES - timed[p]
+        required = NETLIST_REQUIRED_PHASES
+        if p == "current":
+            required = required | NETLIST_CURRENT_PHASES
+        missing = required - timed[p]
         if missing:
             fail(f"{path}: path {p!r} missing timed phases"
                  f" {sorted(missing)}")

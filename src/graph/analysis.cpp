@@ -149,95 +149,59 @@ std::vector<int> tarjan_scc_csr(std::span<const std::uint32_t> offsets,
   return comp;
 }
 
-namespace {
-
-// Sequential sources (DFF outputs / any PI) combinationally reaching `start`
-// walking backward. Returns DFF ids; sets `from_pi` if a PI is reached.
-std::vector<CellId> comb_seq_sources(const Netlist& nl, CellId start,
-                                     bool& from_pi, std::vector<int>& mark,
-                                     int stamp) {
-  std::vector<CellId> result;
-  from_pi = false;
-  std::vector<CellId> work{start};
-  while (!work.empty()) {
-    const CellId u = work.back();
-    work.pop_back();
-    if (mark[u] == stamp) continue;
-    mark[u] = stamp;
-    const Cell& c = nl.cell(u);
-    if (c.kind == CellKind::kDff) {
-      result.push_back(u);
-      continue;  // do not cross the flip-flop
-    }
-    if (c.kind == CellKind::kInput) {
-      from_pi = true;
-      continue;
-    }
-    for (const CellId f : c.fanins) work.push_back(f);
-  }
-  return result;
-}
-
-}  // namespace
-
 int circuit_seq_depth(const Netlist& nl) {
-  const auto dffs = nl.dffs();
-  const auto n_ff = dffs.size();
-  // FF-graph nodes: [0, n_ff) = flip-flops, n_ff = SRC (PIs), n_ff+1 = SNK.
-  const std::uint32_t kSrc = static_cast<std::uint32_t>(n_ff);
-  const std::uint32_t kSnk = kSrc + 1;
-  std::vector<std::vector<std::uint32_t>> adj(n_ff + 2);
-
-  std::vector<std::uint32_t> ff_index(nl.size(), 0);
-  for (std::uint32_t i = 0; i < n_ff; ++i) ff_index[dffs[i]] = i;
-
-  std::vector<int> mark(nl.size(), -1);
-  int stamp = 0;
-  for (std::uint32_t i = 0; i < n_ff; ++i) {
-    bool from_pi = false;
-    const CellId d_pin = nl.cell(dffs[i]).fanins.empty()
-                             ? kNullCell
-                             : nl.cell(dffs[i]).fanins[0];
-    if (d_pin == kNullCell) continue;
-    for (const CellId src : comb_seq_sources(nl, d_pin, from_pi, mark, stamp++)) {
-      adj[ff_index[src]].push_back(i);
-    }
-    if (from_pi) adj[kSrc].push_back(i);
+  // Fan-out graph over every cell (D-pin edges included), as CSR built from
+  // the fan-in lists.
+  const std::size_t n = nl.size();
+  std::vector<std::uint32_t> offsets(n + 1, 0);
+  for (CellId v = 0; v < n; ++v) {
+    for (const CellId u : nl.cell(v).fanins) ++offsets[u + 1];
   }
-  for (const CellId po : nl.outputs()) {
-    bool from_pi = false;
-    for (const CellId src : comb_seq_sources(nl, po, from_pi, mark, stamp++)) {
-      adj[ff_index[src]].push_back(kSnk);
+  for (std::size_t u = 0; u < n; ++u) offsets[u + 1] += offsets[u];
+  std::vector<std::uint32_t> targets(offsets[n]);
+  {
+    std::vector<std::uint32_t> fill(offsets.begin(), offsets.end() - 1);
+    for (CellId v = 0; v < n; ++v) {
+      for (const CellId u : nl.cell(v).fanins) targets[fill[u]++] = v;
     }
-    if (from_pi) adj[kSrc].push_back(kSnk);
   }
-
   int num_comp = 0;
-  const std::vector<int> comp = tarjan_scc(adj, num_comp);
+  const std::vector<int> comp = tarjan_scc_csr(offsets, targets, num_comp);
 
-  // Component weights: number of flip-flops (SRC/SNK weigh 0).
+  // Component weights: flip-flop count. Cells grouped by component.
   std::vector<int> weight(num_comp, 0);
-  for (std::uint32_t i = 0; i < n_ff; ++i) ++weight[comp[i]];
-
-  // Condensation edges; components numbered in reverse topological order, so
-  // an edge goes from a higher comp index to a lower (or equal, intra-SCC).
-  std::vector<std::vector<int>> cadj(num_comp);
-  for (std::uint32_t u = 0; u < adj.size(); ++u) {
-    for (const std::uint32_t v : adj[u]) {
-      if (comp[u] != comp[v]) cadj[comp[u]].push_back(comp[v]);
-    }
+  std::vector<std::uint32_t> first(num_comp + 1, 0);
+  for (CellId id = 0; id < n; ++id) {
+    if (nl.cell(id).kind == CellKind::kDff) ++weight[comp[id]];
+    ++first[comp[id] + 1];
+  }
+  for (int c = 0; c < num_comp; ++c) first[c + 1] += first[c];
+  std::vector<CellId> members(n);
+  {
+    std::vector<std::uint32_t> fill(first.begin(), first.end() - 1);
+    for (CellId id = 0; id < n; ++id) members[fill[comp[id]]++] = id;
   }
 
-  // best[c] = heaviest FF chain starting in c and ending at SNK's component.
-  const int snk_comp = comp[kSnk];
+  // best[c] = heaviest chain from c to a PO's component (-1: none). Tarjan
+  // numbers components in reverse topological order, so every successor of
+  // c has a lower index and is final when c is reached.
   std::vector<long long> best(num_comp, -1);
-  best[snk_comp] = weight[snk_comp];
-  for (int c = 0; c < num_comp; ++c) {  // children (lower index) first
-    long long reach = -1;
-    for (const int child : cadj[c]) reach = std::max(reach, best[child]);
-    if (reach >= 0) best[c] = std::max(best[c], weight[c] + reach);
+  for (const CellId po : nl.outputs()) best[comp[po]] = 0;
+  for (int c = 0; c < num_comp; ++c) {
+    long long reach = best[c];
+    for (std::uint32_t m = first[c]; m < first[c + 1]; ++m) {
+      const CellId u = members[m];
+      for (std::uint32_t e = offsets[u]; e < offsets[u + 1]; ++e) {
+        const int s = comp[targets[e]];
+        if (s != c) reach = std::max(reach, best[s]);
+      }
+    }
+    best[c] = reach >= 0 ? reach + weight[c] : -1;
   }
-  const long long d = best[comp[kSrc]];
+  long long d = -1;
+  for (CellId id = 0; id < n; ++id) {
+    if (nl.cell(id).kind == CellKind::kInput) d = std::max(d, best[comp[id]]);
+  }
   return d <= 0 ? 1 : static_cast<int>(d);
 }
 

@@ -7,10 +7,12 @@
 //    cell and any primary output (the D_i of Eqs. 1-2);
 //  * the circuit sequential depth D — the maximum number of flip-flops on
 //    any PI -> PO path (Eq. 3). Sequential loops make the naive definition
-//    unbounded, so D is computed on the SCC condensation of the flip-flop
-//    dependency graph: each strongly connected component contributes its
-//    flip-flop count once, which is the natural acyclic reading of the
-//    paper's definition;
+//    unbounded, so D is computed on the SCC condensation of the cell graph
+//    (fan-out edges, D pins included): each strongly connected component
+//    contributes its flip-flop count once, which is the natural acyclic
+//    reading of the paper's definition. One Tarjan pass and one
+//    longest-path sweep over the condensation make it linear in the
+//    netlist;
 //  * transitive fan-in/fan-out cones (attack cone extraction).
 #pragma once
 
@@ -36,8 +38,9 @@ std::vector<int> seq_depth_to_po(const Netlist& nl);
 /// cell. kUnreachable if no PI reaches it.
 std::vector<int> seq_depth_from_pi(const Netlist& nl);
 
-/// The circuit sequential depth D of Eq. (3): the longest flip-flop chain on
-/// a PI -> PO path, evaluated on the SCC condensation (see file comment).
+/// The circuit sequential depth D of Eq. (3): the heaviest path from a PI's
+/// component to a PO's component in the SCC condensation of the cell graph,
+/// each component weighing its flip-flop count (see file comment).
 /// Returns at least 1 for sequential circuits, 1 for pure combinational
 /// (the paper's equations multiply by D, so D >= 1 keeps them meaningful).
 int circuit_seq_depth(const Netlist& nl);

@@ -11,8 +11,14 @@
 //   CC0/CC1(signal) — minimum "effort" to set it to 0/1; PIs cost 1.
 //   CO(signal)      — effort to propagate its value to a PO; POs cost 0.
 //   Crossing a flip-flop adds a sequential increment to all three.
+//
+// Each gate's minimum runs over the *prime* cubes of its function (built
+// once per distinct fan-in/truth mask), and each relaxation sweep visits
+// only the cells whose inputs changed since their last visit: the work is
+// near-linear in the netlist, and every value equals a full sweep's.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -23,6 +29,10 @@ struct ScoapResult {
   std::vector<double> cc0;  ///< indexed by CellId (driver net)
   std::vector<double> cc1;
   std::vector<double> co;
+  /// Work done: relaxation sweeps run (forward + backward) and cell visits
+  /// (forward re-evaluations + backward scatters).
+  int sweeps = 0;
+  std::uint64_t evaluations = 0;
 
   /// Attack effort proxy for one cell: cheapest-row justification cost of
   /// its fan-ins plus observation cost of its output.
@@ -32,8 +42,10 @@ struct ScoapResult {
 struct ScoapOptions {
   /// Cost added when crossing a flip-flop (one extra capture cycle).
   double sequential_increment = 5.0;
-  /// Fixed-point iterations for sequential loops (values monotonically
-  /// decrease and converge quickly on ISCAS-scale circuits).
+  /// Cap on the Gauss-Seidel sweeps of each pass. Values decrease
+  /// monotonically, but long flip-flop chains settle one stage per sweep:
+  /// the forward pass reaches this cap on s38584, so the cap (not a fixed
+  /// point) defines the reported values there.
   int max_iterations = 16;
   /// Controllability assigned to unknown-content LUTs' outputs when
   /// `attacker_view` is set: the attacker cannot justify through a missing

@@ -52,172 +52,190 @@ StaticAuditResult run_static_audit(const Netlist& nl,
     }
   }
 
+  // Leaf spans: audit_security, audit_scoap, audit_luts, audit_equations.
   STTLOCK_SPAN("verify", "audit");
   StaticAuditResult result;
-  result.optimistic = security_report(nl, opt.model);
+  {
+    STTLOCK_SPAN("verify", "audit_security");
+    result.optimistic = security_report(nl, opt.model);
+  }
 
   std::vector<CellId> luts;
   for (CellId id = 0; id < nl.size(); ++id) {
     if (nl.cell(id).kind == CellKind::kLut) luts.push_back(id);
   }
 
-  // Attacker-view constant propagation: every primary input and state bit
-  // is X, every missing gate's output is X (zero LUT knowledge), so a
-  // definite wave value is a static constant no key and no stimulus can
-  // change.
-  const LutKnowledgeMap knowledge = unknown_luts(nl);
-  const PartialEvaluator evaluator(nl, knowledge);
-  const std::vector<Tri> all_x(nl.inputs().size() + nl.dffs().size(),
-                               Tri::kX);
-  const std::vector<Tri> wave = evaluator.eval(all_x);
-  ForceProbe probe(evaluator);
-  probe.rebase(wave);
-
   const ScoapResult scoap = [&] {
     if (!opt.scoap || luts.empty()) return ScoapResult{};
     STTLOCK_SPAN("verify", "audit_scoap");
     ScoapOptions sopt;
     sopt.attacker_view = true;
-    return compute_scoap(nl, sopt);
+    ScoapResult r = compute_scoap(nl, sopt);
+    // Runtime-tagged like the probe counters below.
+    static obs::Counter& sweeps = obs::Metrics::global().counter(
+        "verify.audit.scoap_sweeps", /*stable=*/false);
+    static obs::Counter& evals = obs::Metrics::global().counter(
+        "verify.audit.scoap_evals", /*stable=*/false);
+    sweeps.add(static_cast<std::uint64_t>(r.sweeps));
+    evals.add(r.evaluations);
+    return r;
   }();
 
+  std::vector<Tri> wave;
   std::unordered_set<CellId> excluded;  // inferable or masked: drop from M
-  for (const CellId id : luts) {
-    const Cell& c = nl.cell(id);
-    const int k = c.fanin_count();
-    LutAudit audit;
-    audit.cell = id;
-    audit.fanin = k;
+  {
+    STTLOCK_SPAN("verify", "audit_luts");
+    // Attacker-view constant propagation: every primary input and state bit
+    // is X, every missing gate's output is X (zero LUT knowledge), so a
+    // definite wave value is a static constant no key and no stimulus can
+    // change.
+    const LutKnowledgeMap knowledge = unknown_luts(nl);
+    const PartialEvaluator evaluator(nl, knowledge);
+    const std::vector<Tri> all_x(nl.inputs().size() + nl.dffs().size(),
+                                 Tri::kX);
+    wave = evaluator.eval(all_x);
+    ForceProbe probe(evaluator);
+    probe.rebase(wave);
 
-    // Constant-fed inputs and the reachable-row set they leave behind.
-    std::string const_slots;
-    for (int i = 0; i < k; ++i) {
-      const Tri v = wave[c.fanins[i]];
-      audit.input_values.push_back(v);
-      if (definite(v)) {
-        ++audit.constant_inputs;
-        if (!const_slots.empty()) const_slots += ", ";
-        const_slots += strformat("'%s'=%c", std::string(nl.cell(c.fanins[i]).name).c_str(),
-                                 tri_char(v));
-      }
-    }
-    for (std::uint32_t row = 0; row < num_rows(k); ++row) {
-      bool reachable = true;
+    for (const CellId id : luts) {
+      const Cell& c = nl.cell(id);
+      const int k = c.fanin_count();
+      LutAudit audit;
+      audit.cell = id;
+      audit.fanin = k;
+
+      // Constant-fed inputs and the reachable-row set they leave behind.
+      std::string const_slots;
       for (int i = 0; i < k; ++i) {
-        const bool bit = row & (1u << i);
-        if ((audit.input_values[i] == Tri::kOne && !bit) ||
-            (audit.input_values[i] == Tri::kZero && bit)) {
-          reachable = false;
-          break;
+        const Tri v = wave[c.fanins[i]];
+        audit.input_values.push_back(v);
+        if (definite(v)) {
+          ++audit.constant_inputs;
+          if (!const_slots.empty()) const_slots += ", ";
+          const_slots += strformat(
+              "'%s'=%c", std::string(nl.cell(c.fanins[i]).name).c_str(),
+              tri_char(v));
         }
       }
-      if (reachable) audit.reachable_rows |= (1ull << row);
-    }
-
-    // Effective support and inferability over the reachable restriction.
-    for (int i = 0; i < k; ++i) {
-      if (definite(audit.input_values[i])) continue;
-      if (depends_on(c.lut_mask, audit.reachable_rows, k, i)) {
-        ++audit.effective_support;
+      for (std::uint32_t row = 0; row < num_rows(k); ++row) {
+        bool reachable = true;
+        for (int i = 0; i < k; ++i) {
+          const bool bit = row & (1u << i);
+          if ((audit.input_values[i] == Tri::kOne && !bit) ||
+              (audit.input_values[i] == Tri::kZero && bit)) {
+            reachable = false;
+            break;
+          }
+        }
+        if (reachable) audit.reachable_rows |= (1ull << row);
       }
-    }
-    audit.inferable = audit.effective_support == 0;
 
-    if (audit.constant_inputs > 0) {
-      result.findings.push_back(make_finding(
-          nl, LintRule::kConstantFedLut, id,
-          strformat("missing gate '%s' has %d of %d input(s) tied to static "
-                    "constants (%s): only %d of %u truth-table rows are "
-                    "reachable",
-                    std::string(c.name).c_str(), audit.constant_inputs, k,
-                    const_slots.c_str(),
-                    __builtin_popcountll(audit.reachable_rows),
-                    num_rows(k))));
-    }
-    // By-design suppressions (diagnostics only; every audited quantity
-    // below still sees the gate exactly as an attacker would).
-    const std::string cname(c.name);
-    const bool declared_constant =
-        opt.defense.locked_constants.count(cname) != 0;
-    const bool declared_latch = opt.defense.decoy_latches.count(cname) != 0;
-
-    if (audit.inferable) {
-      if (!declared_constant) {
-        const std::uint32_t first_row =
-            static_cast<std::uint32_t>(__builtin_ctzll(audit.reachable_rows));
-        result.findings.push_back(make_finding(
-            nl, LintRule::kInferableLut, id,
-            strformat("missing gate '%s' is statically inferable: every "
-                      "reachable row yields %c (P collapses to 1)",
-                      std::string(c.name).c_str(),
-                      ((c.lut_mask >> first_row) & 1ull) ? '1' : '0')));
-      }
-    } else if (audit.constant_inputs == 0 && audit.effective_support < k &&
-               !declared_latch) {
-      std::string vacuous;
+      // Effective support and inferability over the reachable restriction.
       for (int i = 0; i < k; ++i) {
-        if (depends_on(c.lut_mask, audit.reachable_rows, k, i)) continue;
-        if (!vacuous.empty()) vacuous += ", ";
-        vacuous += "'";
-        vacuous += nl.cell(c.fanins[i]).name;
-        vacuous += "'";
+        if (definite(audit.input_values[i])) continue;
+        if (depends_on(c.lut_mask, audit.reachable_rows, k, i)) {
+          ++audit.effective_support;
+        }
       }
-      result.findings.push_back(make_finding(
-          nl, LintRule::kVacuousLutInput, id,
-          strformat("missing gate '%s' ignores input(s) %s: effective "
-                    "support is %d of %d",
-                    std::string(c.name).c_str(), vacuous.c_str(), audit.effective_support,
-                    k)));
-    }
+      audit.inferable = audit.effective_support == 0;
 
-    // Masked output: forcing the gate to 0 vs 1 leaves every observation
-    // point (primary outputs and flip-flop D pins) at the same *definite*
-    // value — sound proof that the secret never reaches the interface.
-    if (!probe.observation_points().empty()) {
-      probe.force(id);
-      audit.masked = probe.masked();
-      if (audit.masked) {
+      if (audit.constant_inputs > 0) {
         result.findings.push_back(make_finding(
-            nl, LintRule::kMaskedLut, id,
-            strformat("missing gate '%s' is statically blocked from every "
-                      "observation point: it contributes to M but its secret "
-                      "never reaches the interface",
-                      std::string(c.name).c_str())));
+            nl, LintRule::kConstantFedLut, id,
+            strformat("missing gate '%s' has %d of %d input(s) tied to static "
+                      "constants (%s): only %d of %u truth-table rows are "
+                      "reachable",
+                      std::string(c.name).c_str(), audit.constant_inputs, k,
+                      const_slots.c_str(),
+                      __builtin_popcountll(audit.reachable_rows),
+                      num_rows(k))));
       }
-    }
+      // By-design suppressions (diagnostics only; every audited quantity
+      // below still sees the gate exactly as an attacker would).
+      const std::string cname(c.name);
+      const bool declared_constant =
+          opt.defense.locked_constants.count(cname) != 0;
+      const bool declared_latch = opt.defense.decoy_latches.count(cname) != 0;
 
-    if (opt.scoap && !scoap.co.empty()) {
-      audit.resolvability = scoap.resolvability(nl, id);
-      if (audit.resolvability <= opt.resolvability_threshold) {
+      if (audit.inferable) {
+        if (!declared_constant) {
+          const std::uint32_t first_row =
+              static_cast<std::uint32_t>(__builtin_ctzll(audit.reachable_rows));
+          result.findings.push_back(make_finding(
+              nl, LintRule::kInferableLut, id,
+              strformat("missing gate '%s' is statically inferable: every "
+                        "reachable row yields %c (P collapses to 1)",
+                        std::string(c.name).c_str(),
+                        ((c.lut_mask >> first_row) & 1ull) ? '1' : '0')));
+        }
+      } else if (audit.constant_inputs == 0 && audit.effective_support < k &&
+                 !declared_latch) {
+        std::string vacuous;
+        for (int i = 0; i < k; ++i) {
+          if (depends_on(c.lut_mask, audit.reachable_rows, k, i)) continue;
+          if (!vacuous.empty()) vacuous += ", ";
+          vacuous += "'";
+          vacuous += nl.cell(c.fanins[i]).name;
+          vacuous += "'";
+        }
         result.findings.push_back(make_finding(
-            nl, LintRule::kResolvableLut, id,
-            strformat("missing gate '%s' is trivially resolvable "
-                      "(SCOAP justify+observe cost %.1f <= %.1f): "
-                      "PI-adjacent rows, flip-flop-free observation",
-                      std::string(c.name).c_str(), audit.resolvability,
-                      opt.resolvability_threshold)));
+            nl, LintRule::kVacuousLutInput, id,
+            strformat("missing gate '%s' ignores input(s) %s: effective "
+                      "support is %d of %d",
+                      std::string(c.name).c_str(), vacuous.c_str(),
+                      audit.effective_support, k)));
       }
-    }
 
-    if (audit.inferable || audit.masked) excluded.insert(id);
-    result.luts.push_back(std::move(audit));
+      // Masked output: forcing the gate to 0 vs 1 leaves every observation
+      // point (primary outputs and flip-flop D pins) at the same *definite*
+      // value — sound proof that the secret never reaches the interface.
+      if (!probe.observation_points().empty()) {
+        probe.force(id);
+        audit.masked = probe.masked();
+        if (audit.masked) {
+          result.findings.push_back(make_finding(
+              nl, LintRule::kMaskedLut, id,
+              strformat("missing gate '%s' is statically blocked from every "
+                        "observation point: it contributes to M but its secret "
+                        "never reaches the interface",
+                        std::string(c.name).c_str())));
+        }
+      }
+
+      if (opt.scoap && !scoap.co.empty()) {
+        audit.resolvability = scoap.resolvability(nl, id);
+        if (audit.resolvability <= opt.resolvability_threshold) {
+          result.findings.push_back(make_finding(
+              nl, LintRule::kResolvableLut, id,
+              strformat("missing gate '%s' is trivially resolvable "
+                        "(SCOAP justify+observe cost %.1f <= %.1f): "
+                        "PI-adjacent rows, flip-flop-free observation",
+                        std::string(c.name).c_str(), audit.resolvability,
+                        opt.resolvability_threshold)));
+        }
+      }
+
+      if (audit.inferable || audit.masked) excluded.insert(id);
+      result.luts.push_back(std::move(audit));
+    }
+    // Deterministic in value, but runtime-tagged: the campaign's stable
+    // metrics block predates these counters and stays byte-identical.
+    static obs::Counter& probes =
+        obs::Metrics::global().counter("verify.audit.probes", /*stable=*/false);
+    static obs::Counter& probe_cells = obs::Metrics::global().counter(
+        "verify.audit.probe_cells", /*stable=*/false);
+    probes.add(probe.probes());
+    probe_cells.add(probe.cells_evaluated());
   }
-  // Deterministic in value, but runtime-tagged: the campaign's stable
-  // metrics block predates these counters and stays byte-identical.
-  static obs::Counter& probes =
-      obs::Metrics::global().counter("verify.audit.probes", /*stable=*/false);
-  static obs::Counter& probe_cells = obs::Metrics::global().counter(
-      "verify.audit.probe_cells", /*stable=*/false);
-  probes.add(probe.probes());
-  probe_cells.add(probe.cells_evaluated());
 
   // ---- audited Eqs. (1)-(3) -----------------------------------------------
   // Mirrors core/security.cpp term for term; the only deviations are the
   // audited quantities: inferable/masked gates leave M, effective support
   // replaces declared fan-in in alpha/P lookups, and the accessible-input
   // walk does not descend through statically constant cells.
+  STTLOCK_SPAN("verify", "audit_equations");
   SecurityReport& audited = result.audited;
-  audited.circuit_depth = circuit_seq_depth(nl);
+  audited.circuit_depth = result.optimistic.circuit_depth;
 
   std::vector<CellId> included;
   for (const CellId id : luts) {

@@ -44,7 +44,8 @@ struct StaticAuditOptions {
   /// this; the default only catches PI-adjacent gates observable without
   /// crossing a flip-flop.
   double resolvability_threshold = 6.0;
-  /// Disable the SCOAP pass (it dominates audit cost on large netlists).
+  /// Run the SCOAP pass behind SEC004 and `LutAudit::resolvability`
+  /// (near-linear in the netlist, like the rest of the audit).
   bool scoap = true;
 };
 
