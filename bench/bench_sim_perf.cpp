@@ -16,11 +16,18 @@
 //                      batch by worker count), one row per granularity:
 //        word           ScanOracle::query_word, 64 packed patterns/call;
 //        batch          ScanOracle::query_batch, W words per call;
-//        batch_threaded query_batch fanned out across the ThreadPool.
+//        batch_threaded query_batch fanned out across the ThreadPool;
+//  * patch_full / patch_cone (widest ISA) — the key-guessing loops' step:
+//                      patch one LUT mask, then re-score 4 words with a
+//                      whole-circuit eval_batch or with eval_cone over that
+//                      LUT's fan-out cone; `patch_cone_speedup` is their
+//                      ratio, and the two must fold identical responses.
 //
 // Every row folds the oracle responses into one checksum that must be
-// identical across all modes and ISAs — bit-exactness across lane widths
-// is a hard requirement of the engine, checked here on real responses.
+// identical across all modes and ISAs (the patch rows fold into their own)
+// — bit-exactness across lane widths and between whole-circuit and cone
+// re-evaluation is a hard requirement of the engine, checked here on real
+// responses.
 // Timed rows run one untimed warm-up pass, then repeat until a minimum
 // wall time so the JSON reports steady-state throughput, not page faults.
 // JSON goes to BENCH_sim_perf.json (--out) for CI to archive.
@@ -30,6 +37,7 @@
 //  * batch_threaded (widest ISA) >= 4x scalar64 batch_threaded when the
 //    widest ISA is avx512, >= 2x when it is avx2; no SIMD gate when only
 //    the scalar kernel is available.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -38,6 +46,7 @@
 #include <vector>
 
 #include "attack/oracle.hpp"
+#include "sim/compiled.hpp"
 #include "core/selection.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/thread_pool.hpp"
@@ -166,17 +175,18 @@ int main(int argc, char** argv) {
   // passes skip the checksum transpose: responses are deterministic, and
   // attack loops consume response rows in place rather than re-packing
   // them per word.
-  const auto repeat = [&](Row row, const auto& pass) {
+  const auto repeat = [&](Row row, std::uint64_t pass_patterns,
+                          const auto& pass) {
     pass(row, /*collect_checksum=*/true);  // warm-up
     row.patterns = 0;
     Timer timer;
     do {
       pass(row, /*collect_checksum=*/false);
-      row.patterns += n_patterns;
+      row.patterns += pass_patterns;
       ++row.reps;
       row.seconds = timer.seconds();
     } while (row.seconds < min_seconds);
-    rows.push_back(row);
+    return row;
   };
 
   // One oracle and one set of staging buffers per *row*, reused across the
@@ -185,7 +195,8 @@ int main(int argc, char** argv) {
   const auto run_word_row = [&](const std::string& isa_label) {
     ScanOracle oracle(chip);
     std::vector<std::uint64_t> in(n_in), out(n_out);
-    repeat({"word", isa_label, 0, 0, 0, 0}, [&](Row& m, bool collect) {
+    rows.push_back(repeat({"word", isa_label, 0, 0, 0, 0}, n_patterns,
+                          [&](Row& m, bool collect) {
       std::uint64_t acc = 0;
       for (std::size_t w = 0; w < n_words; ++w) {
         for (std::size_t i = 0; i < n_in; ++i) in[i] = stim[i * n_words + w];
@@ -193,7 +204,7 @@ int main(int argc, char** argv) {
         if (collect) acc = fold(acc, out);
       }
       if (collect) m.checksum = acc;
-    });
+    }));
   };
 
   const auto run_batch_row = [&](const std::string& mode,
@@ -203,7 +214,8 @@ int main(int argc, char** argv) {
     std::vector<std::uint64_t> in(n_in * batch_words);
     std::vector<std::uint64_t> out(n_out * batch_words);
     std::vector<std::uint64_t> packed(n_out, 0);
-    repeat({mode, isa_label, 0, 0, 0, 0}, [&](Row& m, bool collect) {
+    rows.push_back(repeat({mode, isa_label, 0, 0, 0, 0}, n_patterns,
+                          [&](Row& m, bool collect) {
       std::uint64_t acc = 0;
       for (std::size_t w0 = 0; w0 < n_words; w0 += batch_words) {
         const std::size_t bw = std::min(batch_words, n_words - w0);
@@ -222,7 +234,7 @@ int main(int argc, char** argv) {
         }
       }
       if (collect) m.checksum = acc;
-    });
+    }));
   };
 
   const unsigned jobs = static_cast<unsigned>(args.get_int("--jobs"));
@@ -254,6 +266,76 @@ int main(int argc, char** argv) {
     CompiledSim::set_batch_block_override(saved_block);
   }
 
+  // The key-guessing loops' unit of work (ml, bf): patch one LUT mask,
+  // then re-score the first kPatchWords words of the stimulus (ml's
+  // default 256-pattern signature) under the widest ISA. `patch_full`
+  // re-runs the whole circuit (eval_batch); `patch_cone` re-runs only that
+  // LUT's fan-out cone (eval_cone) over the wave it keeps. Both apply the
+  // same patch sequence from the same starting masks and fold every
+  // patch's response rows, so their checksums must agree.
+  constexpr std::size_t kPatchWords = 4;
+  constexpr std::size_t kPatches = 1024;
+  const std::size_t patch_words = std::min(kPatchWords, n_words);
+  std::vector<CellId> luts;
+  for (CellId id = 0; id < chip.size(); ++id) {
+    if (chip.cell(id).kind == CellKind::kLut) luts.push_back(id);
+  }
+  std::vector<Row> patch_rows;
+  const auto run_patch_row = [&](const std::string& mode, bool cone_only) {
+    const std::size_t W = patch_words;
+    CompiledSim sim(chip);
+    std::vector<CompiledSim::Cone> cones;
+    for (const CellId id : luts) cones.push_back(sim.cone_of(id));
+    const std::size_t n_pi = sim.num_inputs();
+    std::vector<std::uint64_t> pi(n_pi * W), ff(sim.num_dffs() * W);
+    for (std::size_t w = 0; w < W; ++w) {
+      for (std::size_t i = 0; i < n_pi; ++i) {
+        pi[i * W + w] = stim[i * n_words + w];
+      }
+      for (std::size_t j = 0; j < sim.num_dffs(); ++j) {
+        ff[j * W + w] = stim[(n_pi + j) * n_words + w];
+      }
+    }
+    std::vector<std::uint64_t> wave(sim.wave_size() * W);
+    std::vector<std::uint64_t> po(sim.num_outputs() * W);
+    std::vector<std::uint64_t> ns(sim.num_dffs() * W);
+    sim.eval_batch(W, pi, ff, wave);
+    patch_rows.push_back(repeat(
+        {mode, widest, 0, 0, 0, 0}, kPatches * W * 64,
+        [&](Row& m, bool collect) {
+          Rng pick(kSeed);
+          std::uint64_t acc = 0;
+          for (std::size_t k = 0; k < kPatches; ++k) {
+            const std::size_t i = pick.below(luts.size());
+            const int fanin = chip.cell(luts[i]).fanin_count();
+            sim.set_lut_mask(luts[i], pick() & full_mask(fanin));
+            if (cone_only) {
+              sim.eval_cone(W, cones[i], wave);
+            } else {
+              sim.eval_batch(W, pi, ff, wave);
+            }
+            if (!collect) continue;
+            sim.gather_outputs(W, wave, po);
+            sim.gather_next_state(W, wave, ns);
+            acc = fold(fold(acc, po), ns);
+          }
+          if (collect) m.checksum = acc;
+        }));
+  };
+  if (!luts.empty()) {
+    run_patch_row("patch_full", false);
+    run_patch_row("patch_cone", true);
+    if (patch_rows[1].checksum != patch_rows[0].checksum) {
+      std::fprintf(stderr,
+                   "bench_sim_perf: checksum mismatch in patch_cone "
+                   "(%016llx vs patch_full %016llx) — cone re-evaluation is "
+                   "NOT bit-identical to a full batch\n",
+                   static_cast<unsigned long long>(patch_rows[1].checksum),
+                   static_cast<unsigned long long>(patch_rows[0].checksum));
+      return 1;
+    }
+  }
+
   for (const Row& m : rows) {
     if (m.checksum != rows.front().checksum) {
       std::fprintf(stderr,
@@ -266,6 +348,7 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
+  rows.insert(rows.end(), patch_rows.begin(), patch_rows.end());
 
   const auto find_row = [&](const std::string& mode,
                             const std::string& isa) -> const Row* {
@@ -286,6 +369,18 @@ int main(int argc, char** argv) {
   json += "  \"widest_isa\": \"" + widest + "\",\n";
   json += "  \"checksum\": \"" + std::to_string(rows.front().checksum) +
           "\",\n";
+  if (!patch_rows.empty()) {
+    char buf[160];
+    std::snprintf(buf, sizeof(buf),
+                  "  \"patch_words\": %zu,\n  \"patch_checksum\": \"%llu\",\n"
+                  "  \"patch_cone_speedup\": %.2f,\n",
+                  patch_words,
+                  static_cast<unsigned long long>(patch_rows[0].checksum),
+                  rate(patch_rows[0]) > 0
+                      ? rate(patch_rows[1]) / rate(patch_rows[0])
+                      : 0.0);
+    json += buf;
+  }
   json += "  \"modes\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& m = rows[i];

@@ -23,7 +23,8 @@ DipEncoder::DipEncoder(sat::Solver& solver, const Netlist& nl,
     : solver_(&solver),
       nl_(&nl),
       frames_(frames),
-      n_(static_cast<CellId>(nl.size())) {
+      n_(static_cast<CellId>(nl.size())),
+      topo_(nl.topo_order()) {
   if (key_copies.empty()) {
     throw std::invalid_argument("DipEncoder: no key copies");
   }
@@ -226,7 +227,7 @@ void DipEncoder::fold_pattern(const std::vector<bool>& inputs) {
         vals_[off + id] = vals_[off - n_ + nl_->cell(id).fanins.at(0)];
       }
     }
-    for (const CellId id : nl_->topo_order()) {
+    for (const CellId id : topo_) {
       const Cell& c = nl_->cell(id);
       if (c.kind == CellKind::kInput || c.kind == CellKind::kDff) continue;
       vals_[off + id] = fold_cell(off, id);
@@ -451,7 +452,7 @@ DipEncodeStats DipEncoder::add_io_pair(const std::vector<bool>& inputs,
   for (const auto& [v, value] : pinned) mark_needed(v.node);
   for (int f = 0; f < frames; ++f) {
     const CellId off = static_cast<CellId>(f) * n_;
-    for (const CellId id : nl_->topo_order()) {
+    for (const CellId id : topo_) {
       const CellId slot = off + id;
       if (needed_stamp_[slot] != epoch_) continue;
       const EncVal v = vals_[slot];

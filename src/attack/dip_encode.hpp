@@ -124,6 +124,7 @@ class DipEncoder {
   const Netlist* nl_;
   int frames_;      ///< kScan or the sequence length
   CellId n_;        ///< cells per frame
+  std::vector<CellId> topo_;  ///< nl's topological order, computed once
   /// Per copy, per LUT cell: that copy's key variables (resolved from the
   /// name-keyed maps once, at construction).
   std::vector<std::vector<std::vector<sat::Var>>> key_by_cell_;

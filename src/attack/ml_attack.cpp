@@ -1,8 +1,11 @@
 #include "attack/ml_attack.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "core/similarity.hpp"
 #include "obs/obs.hpp"
@@ -20,11 +23,10 @@ MlAttackResult run_ml_attack(const Netlist& hybrid, ScanOracle& oracle,
   result.span_id = root ? root->id() : 0;
   Rng rng(opt.seed);
 
-  Netlist work = hybrid;
   std::vector<CellId> luts;
   std::vector<std::vector<std::uint64_t>> candidates;
-  for (CellId id = 0; id < work.size(); ++id) {
-    const Cell& c = work.cell(id);
+  for (CellId id = 0; id < hybrid.size(); ++id) {
+    const Cell& c = hybrid.cell(id);
     if (c.kind != CellKind::kLut) continue;
     luts.push_back(id);
     if (opt.standard_candidates_only && c.fanin_count() >= 2) {
@@ -41,89 +43,87 @@ MlAttackResult run_ml_attack(const Netlist& hybrid, ScanOracle& oracle,
     return result;
   }
 
-  // Training signature: random scan patterns and oracle responses, packed
-  // 64 per word.
-  const std::size_t n_pi = work.inputs().size();
-  const std::size_t n_ff = work.dffs().size();
-  const int n_words = (opt.training_patterns + 63) / 64;
-  std::vector<std::vector<std::uint64_t>> pi_words(
-      n_words, std::vector<std::uint64_t>(n_pi, 0));
-  std::vector<std::vector<std::uint64_t>> ff_words(
-      n_words, std::vector<std::uint64_t>(n_ff, 0));
+  // Training signature: random scan patterns and oracle responses, 64 per
+  // word, kept in the engine's blocked layout (W words per row). Response
+  // column r is output r, then next state r - num_outputs, as the oracle
+  // returns them and as CompiledSim::Cone::Response numbers them.
+  const std::size_t n_pi = hybrid.inputs().size();
+  const std::size_t n_ff = hybrid.dffs().size();
   const std::size_t n_out = oracle.num_outputs();
-  std::vector<std::vector<std::uint64_t>> expected(
-      n_words, std::vector<std::uint64_t>(n_out, 0));
+  const int n_words = (opt.training_patterns + 63) / 64;
+  const auto W = static_cast<std::size_t>(std::max(0, n_words));
+  std::vector<std::uint64_t> pi_blk(n_pi * W), ff_blk(n_ff * W);
+  std::vector<std::uint64_t> expected(n_out * W);
   // One word-batched oracle call per 64 training patterns (bit draw order
   // matches the seed's pattern-at-a-time loop for reproducibility).
   const std::uint64_t start_queries = oracle.queries();
-  std::vector<std::uint64_t> scan_in(n_pi + n_ff);
-  for (int w = 0; w < n_words; ++w) {
+  std::vector<std::uint64_t> scan_in(n_pi + n_ff), response(n_out);
+  for (std::size_t w = 0; w < W; ++w) {
     for (auto& word : scan_in) word = 0;
     for (int b = 0; b < 64; ++b) {
       for (std::size_t i = 0; i < scan_in.size(); ++i) {
         if (rng.chance(0.5)) scan_in[i] |= (1ull << b);
       }
     }
-    for (std::size_t i = 0; i < n_pi; ++i) pi_words[w][i] = scan_in[i];
+    for (std::size_t i = 0; i < n_pi; ++i) pi_blk[i * W + w] = scan_in[i];
     for (std::size_t j = 0; j < n_ff; ++j) {
-      ff_words[w][j] = scan_in[n_pi + j];
+      ff_blk[j * W + w] = scan_in[n_pi + j];
     }
-    oracle.query_word(scan_in, expected[w]);
+    oracle.query_word(scan_in, response);
+    for (std::size_t r = 0; r < n_out; ++r) expected[r * W + w] = response[r];
   }
 
-  // Scoring runs on the compiled engine with in-place mask patches and a
-  // reused scratch wave: zero allocations per annealing step. The whole
-  // training signature is scored in one eval_batch over the blocked
-  // layout; the engine runs whole SIMD lanes and finishes any misaligned
-  // tail with the scalar kernel, so the score — and the sim.words
-  // accounting — stay identical to the seed's word-at-a-time loop under
-  // every ISA.
-  CompiledSim sim(work);
-  const std::size_t n_w = static_cast<std::size_t>(n_words);
-  const std::size_t W = n_w;
-  std::vector<std::uint64_t> pi_blk(n_pi * W), ff_blk(n_ff * W);
-  for (std::size_t w = 0; w < W; ++w) {
-    for (std::size_t i = 0; i < n_pi; ++i) pi_blk[i * W + w] = pi_words[w][i];
-    for (std::size_t j = 0; j < n_ff; ++j) ff_blk[j * W + w] = ff_words[w][j];
-  }
+  // Scoring runs on the compiled engine with in-place mask patches. The
+  // wave always holds the full evaluation of the training signature under
+  // the current configuration: a move patches one LUT, so only that LUT's
+  // fan-out cone is re-run (eval_cone), and only the responses inside the
+  // cone can change their mismatch count. A rejected move restores the
+  // cone's saved rows. Each step still counts one W-word batch in
+  // sim.words, and the score is exactly the whole-signature mismatch
+  // count under every ISA.
+  using Response = CompiledSim::Cone::Response;
+  CompiledSim sim(hybrid);
   std::vector<std::uint64_t> wave(sim.wave_size() * W);
-  const auto po_cells = sim.output_cells();
-  const auto ns_cells = sim.next_state_cells();
-  const auto set_mask = [&](CellId id, std::uint64_t mask) {
-    work.cell(id).lut_mask = mask;
-    sim.set_lut_mask(id, mask);
+  const auto mismatches = [&](std::span<const Response> responses) {
+    long long n = 0;
+    for (const Response& r : responses) {
+      const std::uint64_t* got = wave.data() + r.row * W;
+      const std::uint64_t* want = expected.data() + r.column * W;
+      for (std::size_t w = 0; w < W; ++w) n += std::popcount(got[w] ^ want[w]);
+    }
+    return n;
+  };
+  const std::vector<Response> all_responses = sim.responses();
+  std::vector<CompiledSim::Cone> cones;
+  cones.reserve(luts.size());
+  std::size_t max_cone = 0;
+  for (const CellId id : luts) {
+    cones.push_back(sim.cone_of(id));
+    max_cone = std::max(max_cone, cones.back().cells().size());
+  }
+  std::vector<std::uint64_t> saved(max_cone * W);
+
+  std::vector<std::uint64_t> masks(luts.size());
+  const auto set_mask = [&](std::size_t i, std::uint64_t mask) {
+    masks[i] = mask;
+    sim.set_lut_mask(luts[i], mask);
   };
   const auto total_bits =
-      static_cast<double>(n_words) * 64.0 * static_cast<double>(n_out);
-  auto score = [&]() -> long long {
-    if (W == 0) return 0;
-    sim.eval_batch(W, pi_blk, ff_blk, wave);
-    long long mismatches = 0;
-    for (std::size_t w = 0; w < n_w; ++w) {
-      for (std::size_t o = 0; o < po_cells.size(); ++o) {
-        mismatches += std::popcount(wave[po_cells[o] * W + w] ^ expected[w][o]);
-      }
-      for (std::size_t j = 0; j < ns_cells.size(); ++j) {
-        mismatches += std::popcount(wave[ns_cells[j] * W + w] ^
-                                    expected[w][po_cells.size() + j]);
-      }
-    }
-    return mismatches;
-  };
+      static_cast<double>(W) * 64.0 * static_cast<double>(n_out);
 
   // Random initial guess.
   for (std::size_t i = 0; i < luts.size(); ++i) {
-    const int k = work.cell(luts[i]).fanin_count();
     if (!candidates[i].empty()) {
-      set_mask(luts[i], rng.pick(candidates[i]));
+      set_mask(i, rng.pick(candidates[i]));
     } else {
-      set_mask(luts[i], rng() & full_mask(k));
+      set_mask(i, rng() & full_mask(hybrid.cell(luts[i]).fanin_count()));
     }
   }
 
-  long long current = score();
+  sim.eval_batch(W, pi_blk, ff_blk, wave);
+  long long current = mismatches(all_responses);
   long long best = current;
-  LutKey best_key = extract_key(work);
+  std::vector<std::uint64_t> best_masks = masks;
   double temperature = opt.initial_temperature;
 
   bool hit_time_limit = false;
@@ -134,15 +134,21 @@ MlAttackResult run_ml_attack(const Netlist& hybrid, ScanOracle& oracle,
     }
     ++result.steps;
     const std::size_t pick = rng.below(luts.size());
-    const Cell& c = work.cell(luts[pick]);
-    const std::uint64_t old_mask = c.lut_mask;
+    const std::uint64_t old_mask = masks[pick];
     if (!candidates[pick].empty()) {
-      set_mask(luts[pick], rng.pick(candidates[pick]));
+      set_mask(pick, rng.pick(candidates[pick]));
     } else {
-      set_mask(luts[pick],
-               old_mask ^ (1ull << rng.below(num_rows(c.fanin_count()))));
+      const int k = hybrid.cell(luts[pick]).fanin_count();
+      set_mask(pick, old_mask ^ (1ull << rng.below(num_rows(k))));
     }
-    const long long trial = score();
+    const CompiledSim::Cone& cone = cones[pick];
+    const auto cells = cone.cells();
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+      std::copy_n(wave.data() + cells[c] * W, W, saved.data() + c * W);
+    }
+    const long long before = mismatches(cone.responses());
+    sim.eval_cone(W, cone, wave);
+    const long long trial = current - before + mismatches(cone.responses());
     const long long delta = trial - current;
     if (delta <= 0 ||
         rng.uniform() < std::exp(-static_cast<double>(delta) /
@@ -150,15 +156,20 @@ MlAttackResult run_ml_attack(const Netlist& hybrid, ScanOracle& oracle,
       current = trial;
       if (current < best) {
         best = current;
-        best_key = extract_key(work);
+        best_masks = masks;
       }
     } else {
-      set_mask(luts[pick], old_mask);  // reject
+      set_mask(pick, old_mask);  // reject
+      for (std::size_t c = 0; c < cells.size(); ++c) {
+        std::copy_n(saved.data() + c * W, W, wave.data() + cells[c] * W);
+      }
     }
     temperature *= opt.cooling;
   }
 
-  result.key = std::move(best_key);
+  for (std::size_t i = 0; i < luts.size(); ++i) {
+    result.key[std::string(hybrid.cell(luts[i]).name)] = best_masks[i];
+  }
   result.final_accuracy = 1.0 - static_cast<double>(best) / total_bits;
   if (best == 0) {
     result.outcome = attack::Outcome::kSolved;

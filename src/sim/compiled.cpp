@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 
 #include "obs/obs.hpp"
 
@@ -40,6 +41,14 @@ WordCounters counters_for(SimIsa isa) {
   }();
   const auto& [isa_words, lane_words] = per_isa[static_cast<int>(isa)];
   return {&words, isa_words, lane_words};
+}
+
+/// Attribute `n` evaluated pattern words to `isa`.
+void count_words(SimIsa isa, std::size_t n) {
+  const WordCounters wc = counters_for(isa);
+  wc.words->add(static_cast<std::uint64_t>(n));
+  wc.isa_words->add(static_cast<std::uint64_t>(n));
+  wc.lane_words->add(static_cast<std::uint64_t>(n));
 }
 
 /// Block-size pin (0 = automatic policy). Seeded once from the
@@ -147,16 +156,23 @@ CompiledSim::CompiledSim(const Netlist& nl)
   stream_.n_dffs = dffs_.size();
 }
 
-void CompiledSim::set_lut_mask(CellId id, std::uint64_t mask) {
+std::uint32_t CompiledSim::lut_instr(CellId id, const char* who) const {
   const std::uint32_t idx = id < instr_of_.size() ? instr_of_[id] : kNoInstr;
   if (idx == kNoInstr) {
-    throw std::invalid_argument("CompiledSim::set_lut_mask: not an instruction");
+    throw std::invalid_argument(std::string("CompiledSim::") + who +
+                                ": not an instruction");
   }
-  simk::Instr& ins = instrs_[idx];
-  if (ins.op != simk::Op::kLut1 && ins.op != simk::Op::kLut2 &&
-      ins.op != simk::Op::kLutN) {
-    throw std::invalid_argument("CompiledSim::set_lut_mask: cell is not a LUT");
+  const simk::Op op = instrs_[idx].op;
+  if (op != simk::Op::kLut1 && op != simk::Op::kLut2 &&
+      op != simk::Op::kLutN) {
+    throw std::invalid_argument(std::string("CompiledSim::") + who +
+                                ": cell is not a LUT");
   }
+  return idx;
+}
+
+void CompiledSim::set_lut_mask(CellId id, std::uint64_t mask) {
+  simk::Instr& ins = instrs_[lut_instr(id, "set_lut_mask")];
   ins.mask = mask & full_mask(ins.fanin_count);
 }
 
@@ -178,10 +194,7 @@ void CompiledSim::eval_word(std::span<const std::uint64_t> pi,
     throw std::invalid_argument("CompiledSim::eval_word: wave size mismatch");
   }
   const SimIsa isa = active_sim_isa();
-  const WordCounters wc = counters_for(isa);
-  wc.words->add(1);
-  wc.isa_words->add(1);
-  wc.lane_words->add(1);
+  count_words(isa, 1);
   kernel_for(isa)(stream_, pi.data(), ff.data(), wave.data(), /*stride=*/1,
                   /*w0=*/0, /*nw=*/1);
 }
@@ -229,10 +242,7 @@ void CompiledSim::eval_batch(std::size_t W, std::span<const std::uint64_t> pi,
       block = (block + lane - 1) / lane * lane;
     }
   }
-  const WordCounters wc = counters_for(isa);
-  wc.words->add(static_cast<std::uint64_t>(W));
-  wc.isa_words->add(static_cast<std::uint64_t>(W));
-  wc.lane_words->add(static_cast<std::uint64_t>(W));
+  count_words(isa, W);
   const std::size_t n_blocks = (W + block - 1) / block;
   const auto run_block = [&](std::size_t b) {
     const std::size_t w0 = b * block;
@@ -244,6 +254,73 @@ void CompiledSim::eval_batch(std::size_t W, std::span<const std::uint64_t> pi,
   } else {
     for (std::size_t b = 0; b < n_blocks; ++b) run_block(b);
   }
+}
+
+CompiledSim::Cone CompiledSim::cone_of(CellId lut) const {
+  return cone_of(std::span<const CellId>(&lut, 1));
+}
+
+CompiledSim::Cone CompiledSim::cone_of(std::span<const CellId> luts) const {
+  Cone cone;
+  cone.stream_ = instrs_.data();
+  std::vector<char> hit(n_cells_, 0);
+  std::size_t first = instrs_.size();
+  for (const CellId id : luts) {
+    first = std::min<std::size_t>(first, lut_instr(id, "cone_of"));
+    hit[id] = 1;
+  }
+  // Nothing before the earliest seed in topological order reads a seed.
+  // Flip-flop rows are never instruction outputs, so no mark crosses one.
+  for (std::size_t i = first; i < instrs_.size(); ++i) {
+    const simk::Instr& ins = instrs_[i];
+    bool in = hit[ins.out] != 0;
+    for (std::uint32_t k = 0; k < ins.fanin_count && !in; ++k) {
+      in = hit[fanins_[ins.fanin_begin + k]] != 0;
+    }
+    if (!in) continue;
+    hit[ins.out] = 1;
+    cone.instrs_.push_back(static_cast<std::uint32_t>(i));
+    cone.cells_.push_back(ins.out);
+  }
+  for (const Cone::Response& r : responses()) {
+    if (hit[r.row]) cone.responses_.push_back(r);
+  }
+  return cone;
+}
+
+std::vector<CompiledSim::Cone::Response> CompiledSim::responses() const {
+  std::vector<Cone::Response> all;
+  all.reserve(outputs_.size() + ns_cells_.size());
+  for (std::size_t o = 0; o < outputs_.size(); ++o) {
+    all.push_back({outputs_[o], static_cast<std::uint32_t>(o)});
+  }
+  for (std::size_t j = 0; j < ns_cells_.size(); ++j) {
+    all.push_back(
+        {ns_cells_[j], static_cast<std::uint32_t>(outputs_.size() + j)});
+  }
+  return all;
+}
+
+void CompiledSim::eval_cone(std::size_t W, const Cone& cone,
+                            std::span<std::uint64_t> wave) const {
+  if (cone.stream_ != instrs_.data()) {
+    throw std::invalid_argument(
+        "CompiledSim::eval_cone: cone built by another engine");
+  }
+  if (W == 0) return;
+  if (wave.size() != n_cells_ * W) {
+    throw std::invalid_argument("CompiledSim::eval_cone: wave size mismatch");
+  }
+  STTLOCK_SPAN("sim-batch", "eval_cone");
+  const SimIsa isa = active_sim_isa();
+  count_words(isa, W);
+  if (cone.instrs_.empty()) return;  // a null order means the full stream
+  simk::Stream sub = stream_;
+  sub.order = cone.instrs_.data();
+  sub.n_order = cone.instrs_.size();
+  sub.n_inputs = 0;
+  sub.n_dffs = 0;
+  kernel_for(isa)(sub, nullptr, nullptr, wave.data(), W, /*w0=*/0, W);
 }
 
 void CompiledSim::gather_outputs(std::size_t W,

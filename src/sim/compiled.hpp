@@ -5,7 +5,7 @@
 // indices packed into one contiguous CSR array, LUT truth-table masks inline
 // in the instruction (the IR lives in sim/kernels.hpp) — and evaluates into
 // caller-provided scratch buffers, so the hot path performs zero heap
-// allocations. Three entry points:
+// allocations. Four entry points:
 //
 //  * `eval_word`  — one 64-pattern word per net, the classic lane layout;
 //  * `eval_batch` — W words per net in a *blocked* wave layout (the value of
@@ -13,7 +13,11 @@
 //    decode and fan-in index loads across a block of words per instruction;
 //  * `eval_batch` with a `ParallelFor` — fans word blocks out across worker
 //    threads; lanes are independent, so results are bit-identical for every
-//    batch width and thread count.
+//    batch width and thread count;
+//  * `eval_cone`  — re-runs only a `Cone` (the fan-out of one or more LUTs,
+//    from `cone_of`) over a blocked wave that already holds a full
+//    evaluation of the same stimulus: after a mask patch, the wave is then
+//    what a fresh `eval_batch` would give, at the cost of the cone alone.
 //
 // Execution is SIMD-wide: every entry point dispatches to the widest kernel
 // the host supports (scalar 64-bit words, AVX2 4-word lanes, AVX-512 8-word
@@ -25,7 +29,8 @@
 //
 // LUT masks can be re-patched in place (`set_lut_mask`) without re-lowering,
 // which is what the key-guessing attack loops (brute force, ML, DPA) need:
-// compile once, mutate the candidate key, re-evaluate.
+// compile once, mutate the candidate key, re-evaluate — brute force and ML
+// re-evaluate only the cone of the LUTs they changed.
 //
 // The engine snapshots the netlist at construction: later edits to the
 // netlist (masks included) are not seen; patch masks with `set_lut_mask` or
@@ -152,6 +157,56 @@ class CompiledSim {
                   std::span<std::uint64_t> wave,
                   ParallelFor* par = nullptr) const;
 
+  /// The combinational fan-out cone of one or more LUTs: every instruction
+  /// whose value can change when their masks change, the LUTs' own
+  /// included, in topological order. It stops at flip-flops: a D-pin
+  /// driver can be in a cone, a flip-flop's output row never is. A cone
+  /// holds instruction indices, not copies, so it sees later
+  /// `set_lut_mask` patches; it is immutable, and valid only with the
+  /// engine that built it.
+  class Cone {
+   public:
+    /// One scan-response bit the cone rewrites.
+    struct Response {
+      CellId row;            ///< wave row
+      std::uint32_t column;  ///< output_cells() index, then num_outputs() +
+                             ///< next_state_cells() index
+    };
+
+    /// Wave rows the cone rewrites, in evaluation order.
+    std::span<const CellId> cells() const { return cells_; }
+    /// The primary-output and next-state rows among cells(), one entry per
+    /// response column (a row observed by two columns appears twice), in
+    /// column order.
+    std::span<const Response> responses() const { return responses_; }
+
+   private:
+    friend class CompiledSim;
+    const simk::Instr* stream_ = nullptr;  ///< the building engine's stream
+    std::vector<std::uint32_t> instrs_;
+    std::vector<CellId> cells_;
+    std::vector<Response> responses_;
+  };
+
+  /// The cone of `lut`, or the union of the cones of `luts`, built in one
+  /// forward pass over the instruction stream. Throws
+  /// std::invalid_argument if an id is not a LUT instruction.
+  Cone cone_of(CellId lut) const;
+  Cone cone_of(std::span<const CellId> luts) const;
+
+  /// Every scan-response bit in column order, numbered as in
+  /// Cone::responses(): what a whole-circuit evaluation rewrites.
+  std::vector<Cone::Response> responses() const;
+
+  /// Re-evaluate `cone` in place over a blocked W-word wave. When `wave`
+  /// holds a full evaluation of some stimulus and only the cone's LUTs were
+  /// patched since, the result is bit-identical to `eval_batch` of that
+  /// stimulus under the current masks. Counts W words in `sim.words`, like
+  /// the `eval_batch` it stands in for. Throws std::invalid_argument on a
+  /// wave size mismatch or a cone built by another engine.
+  void eval_cone(std::size_t W, const Cone& cone,
+                 std::span<std::uint64_t> wave) const;
+
   /// Gather primary-output rows of a blocked wave into `out`
   /// (num_outputs()*W, blocked layout).
   void gather_outputs(std::size_t W, std::span<const std::uint64_t> wave,
@@ -162,6 +217,9 @@ class CompiledSim {
 
  private:
   static simk::Op opcode_for(const Cell& cell);
+  /// Instruction index of LUT `id`; throws std::invalid_argument naming
+  /// `who` when `id` is not a LUT instruction.
+  std::uint32_t lut_instr(CellId id, const char* who) const;
 
   std::size_t n_cells_ = 0;
   std::vector<simk::Instr> instrs_;      ///< topological order

@@ -47,6 +47,13 @@ struct Instr {
 struct Stream {
   const Instr* instrs = nullptr;
   std::size_t n_instrs = 0;
+  /// Optional subset: when set, the kernel evaluates instrs[order[k]] for
+  /// k < n_order (indices in topological order) instead of every
+  /// instruction. A subset stream re-runs part of a wave that already
+  /// holds a full evaluation, so it seeds no sources (n_inputs = n_dffs =
+  /// 0).
+  const std::uint32_t* order = nullptr;
+  std::size_t n_order = 0;
   const std::uint32_t* fanins = nullptr;  ///< CSR fan-in wave rows
   const std::uint32_t* inputs = nullptr;  ///< PI wave rows, seeded from pi[]
   std::size_t n_inputs = 0;
@@ -54,7 +61,8 @@ struct Stream {
   std::size_t n_dffs = 0;
 };
 
-/// Evaluate words [w0, w0+nw) of every wave row. `pi`, `ff` and `wave` are
+/// Evaluate words [w0, w0+nw) of every wave row the stream writes (all of
+/// them, or the `order` subset). `pi`, `ff` and `wave` are
 /// blocked row-major with `stride` words per row. Any nw is accepted: the
 /// lane main loop covers whole lanes and a scalar tail finishes the rest,
 /// so misaligned batch widths never read or write out of bounds.

@@ -1,13 +1,15 @@
 // Compiled batch simulation engine: equivalence against an independent
 // reference evaluator on randomly generated netlists, every gate kind and
 // LUT width over all its truth-table rows, bit-identical results across
-// batch widths and thread counts, in-place mask patching, and the
-// word-batched oracle's query accounting.
+// batch widths and thread counts, in-place mask patching, fan-out-cone
+// re-evaluation, and the word-batched oracle's query accounting.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <vector>
 
 #include "attack/oracle.hpp"
+#include "obs/obs.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sim/compiled.hpp"
@@ -367,6 +369,140 @@ TEST(SimIsaMatrix, LiveMaskEditsLandUnderWideLanes) {
       EXPECT_EQ(a, b) << sim_isa_name(isa) << " trial " << trial;
     }
   }
+}
+
+// Re-running the cone of the patched LUTs over a wave that holds the
+// previous full evaluation must give exactly the wave a fresh eval_batch
+// gives under the new masks: one-LUT and several-LUT dirty sets, widths
+// that leave a scalar tail after the lane main loop, every compiled-in ISA.
+TEST(SimIsaMatrix, ConeReevaluationMatchesFullBatch) {
+  for (const SimIsa isa : supported_isas()) {
+    ScopedSimIsa forced(isa);
+    for (const int seed : {41, 43, 47}) {
+      const Netlist nl = locked_circuit(seed, 160);
+      CompiledSim csim(nl);
+      std::vector<CellId> luts;
+      for (CellId id = 0; id < nl.size(); ++id) {
+        if (nl.cell(id).kind == CellKind::kLut) luts.push_back(id);
+      }
+      ASSERT_FALSE(luts.empty());
+      Rng rng(static_cast<std::uint64_t>(seed) * 13 +
+              static_cast<std::uint64_t>(isa));
+      for (const std::size_t W :
+           {std::size_t{1}, std::size_t{3}, std::size_t{8}, std::size_t{9},
+            std::size_t{17}}) {
+        std::vector<std::uint64_t> pi(csim.num_inputs() * W);
+        std::vector<std::uint64_t> ff(csim.num_dffs() * W);
+        for (auto& w : pi) w = rng();
+        for (auto& w : ff) w = rng();
+        std::vector<std::uint64_t> wave(csim.wave_size() * W);
+        std::vector<std::uint64_t> full(csim.wave_size() * W);
+        csim.eval_batch(W, pi, ff, wave);
+        for (int trial = 0; trial < 8; ++trial) {
+          const std::size_t n_dirty = trial % 2 == 0 ? 1 : 2 + rng.below(3);
+          std::vector<CellId> dirty;
+          for (std::size_t k = 0; k < n_dirty; ++k) {
+            const CellId id = rng.pick(luts);
+            dirty.push_back(id);
+            csim.set_lut_mask(id,
+                              rng() & full_mask(nl.cell(id).fanin_count()));
+          }
+          csim.eval_cone(W, csim.cone_of(dirty), wave);
+          csim.eval_batch(W, pi, ff, full);
+          ASSERT_EQ(wave, full) << sim_isa_name(isa) << " seed " << seed
+                                << " W=" << W << " trial " << trial;
+        }
+      }
+    }
+  }
+}
+
+// A cone is the union of its seeds' cones, lists only what a seed can
+// reach, and names the scan-response columns it rewrites.
+TEST(CompiledSim, ConeIsTheSeedsFanout) {
+  const Netlist nl = locked_circuit(53, 160);
+  const CompiledSim csim(nl);
+  std::vector<CellId> luts;
+  for (CellId id = 0; id < nl.size(); ++id) {
+    if (nl.cell(id).kind == CellKind::kLut) luts.push_back(id);
+  }
+  ASSERT_GE(luts.size(), 3u);
+  const std::vector<CellId> seeds = {luts[0], luts[luts.size() / 2],
+                                     luts.back()};
+  std::set<CellId> expect;
+  for (const CellId id : seeds) {
+    const CompiledSim::Cone one = csim.cone_of(id);
+    ASSERT_FALSE(one.cells().empty());
+    EXPECT_EQ(one.cells().front(), id) << "a LUT heads its own cone";
+    expect.insert(one.cells().begin(), one.cells().end());
+  }
+  const CompiledSim::Cone cone = csim.cone_of(seeds);
+  const std::set<CellId> got(cone.cells().begin(), cone.cells().end());
+  EXPECT_EQ(got, expect);
+  EXPECT_EQ(got.size(), cone.cells().size()) << "no row listed twice";
+  for (const CellId id : cone.cells()) {
+    EXPECT_NE(nl.cell(id).kind, CellKind::kDff);
+    EXPECT_NE(nl.cell(id).kind, CellKind::kInput);
+  }
+  std::vector<CompiledSim::Cone::Response> want;
+  for (std::size_t o = 0; o < csim.num_outputs(); ++o) {
+    if (got.count(csim.output_cells()[o])) {
+      want.push_back({csim.output_cells()[o], static_cast<std::uint32_t>(o)});
+    }
+  }
+  for (std::size_t j = 0; j < csim.num_dffs(); ++j) {
+    if (got.count(csim.next_state_cells()[j])) {
+      want.push_back({csim.next_state_cells()[j],
+                      static_cast<std::uint32_t>(csim.num_outputs() + j)});
+    }
+  }
+  ASSERT_EQ(cone.responses().size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(cone.responses()[i].row, want[i].row);
+    EXPECT_EQ(cone.responses()[i].column, want[i].column);
+  }
+
+  EXPECT_THROW((void)csim.cone_of(nl.inputs()[0]), std::invalid_argument);
+  const CompiledSim other(nl);
+  std::vector<std::uint64_t> wave(csim.wave_size());
+  EXPECT_THROW(other.eval_cone(1, cone, wave), std::invalid_argument);
+  EXPECT_THROW(csim.eval_cone(2, cone, wave), std::invalid_argument);
+}
+
+// A LUT that only feeds a flip-flop's D pin (through an XOR, as a
+// constant-lock key gate does) has a two-cell cone: the flip-flop and the
+// logic behind it are never re-run, and the only response rewritten is
+// that flip-flop's next state.
+TEST(CompiledSim, ConeStopsAtFlipFlops) {
+  Netlist nl;
+  const CellId a = nl.add_input("a");
+  const CellId b = nl.add_input("b");
+  const CellId q = nl.add_dff("q");
+  const CellId lut = nl.add_lut("k", {a, b}, 0b0110);
+  const CellId x = nl.add_gate(CellKind::kXor, "x", {lut, b});
+  nl.connect(q, {x});
+  const CellId g = nl.add_gate(CellKind::kAnd, "g", {q, a});
+  nl.mark_output(g);
+  nl.finalize();
+  const CompiledSim csim(nl);
+  const CompiledSim::Cone cone = csim.cone_of(lut);
+  EXPECT_EQ(std::vector<CellId>(cone.cells().begin(), cone.cells().end()),
+            (std::vector<CellId>{lut, x}));
+  ASSERT_EQ(cone.responses().size(), 1u);
+  EXPECT_EQ(cone.responses()[0].row, x);
+  EXPECT_EQ(cone.responses()[0].column, 1u);  // after the one output
+
+#if !defined(STTLOCK_OBS_DISABLED)
+  // A cone run counts its W words like the eval_batch it stands in for.
+  constexpr std::size_t kW = 3;
+  std::vector<std::uint64_t> wave(csim.wave_size() * kW);
+  const auto words = [] {
+    return obs::Metrics::global().counter_value("sim.words");
+  };
+  const std::uint64_t before = words();
+  csim.eval_cone(kW, cone, wave);
+  EXPECT_EQ(words() - before, kW);
+#endif
 }
 
 // Regression: the oracle sizes its scratch wave from the active lane width.
