@@ -4,46 +4,31 @@
 //
 //   ./hardening_report [circuit.bench]
 //
-// Pipeline: optimize -> parametric-aware selection -> complex-function
-// packing (timing-guarded) -> sign-off metrics (timing, power, area,
-// variation yield) -> security metrics (Eqs. 1-3, SCOAP resolvability,
-// DPA margin on the most exposed LUT).
+// Pipeline: parametric-aware selection -> complex-function packing
+// (timing-guarded) -> sign-off metrics (timing, power, area) -> security
+// metrics (Eqs. 1-3, SCOAP resolvability, DPA margin on the most exposed
+// LUT).
 #include <algorithm>
 #include <cstdio>
 
 #include "attack/dpa.hpp"
 #include "core/flow.hpp"
 #include "core/packing.hpp"
-#include "graph/analysis.hpp"
 #include "io/bench_io.hpp"
-#include "power/activity_prop.hpp"
-#include "power/power.hpp"
+#include "power/trace.hpp"
 #include "sim/scoap.hpp"
 #include "synth/generator.hpp"
-#include "synth/optimize.hpp"
-#include "timing/sta.hpp"
-#include "timing/variation.hpp"
-#include "util/strings.hpp"
 
 int main(int argc, char** argv) {
   using namespace stt;
   const TechLibrary lib = TechLibrary::cmos90_stt();
 
-  Netlist original = argc > 1 ? read_bench_file(argv[1])
+  const Netlist original = argc > 1 ? read_bench_file(argv[1])
                               : generate_circuit(*find_profile("s1238"), 42);
   std::printf("==== sttlock hardening report: %s ====\n\n",
               original.name().c_str());
 
-  // -- 1. incoming-netlist cleanup -----------------------------------------
-  OptimizeStats ostats;
-  original = optimize_netlist(original, &ostats);
-  std::printf("[synthesis cleanup] %zu -> %zu cells (%d consts folded, %d "
-              "buffers swept, %d duplicates merged)\n",
-              ostats.cells_before, ostats.cells_after,
-              ostats.constants_folded, ostats.buffers_swept,
-              ostats.duplicates_merged);
-
-  // -- 2. selection + packing ----------------------------------------------
+  // -- 1. selection + packing ----------------------------------------------
   FlowOptions fopt;
   fopt.algorithm = SelectionAlgorithm::kParametric;
   fopt.selection.seed = 42;
@@ -66,30 +51,17 @@ int main(int argc, char** argv) {
               packed.absorbed_gates, packed.dummies_added);
   std::printf("[key]  %zu configuration bits\n\n", key_bits(flow.hybrid));
 
-  // -- 3. parametric sign-off ----------------------------------------------
+  // -- 2. parametric sign-off ----------------------------------------------
   std::printf("[timing] %.1f ps -> %.1f ps (%+.2f%%)\n",
               flow.overhead.original_delay_ps, flow.overhead.hybrid_delay_ps,
               flow.overhead.perf_degradation_pct());
-  const auto activity = propagate_activity(flow.hybrid);
-  const double freq = 1000.0 / flow.overhead.original_delay_ps;
-  const auto analytic_power =
-      estimate_power(flow.hybrid, lib, activity.toggle, freq);
-  std::printf("[power]  %+.2f%% @ alpha=10%% (analytic-activity roll-up: "
-              "%.1f uW)\n",
-              flow.overhead.power_overhead_pct(), analytic_power.total_uw());
-  std::printf("[area]   %+.2f%% (%.0f -> %.0f um^2)\n",
+  std::printf("[power]  %+.2f%% @ alpha=10%%\n",
+              flow.overhead.power_overhead_pct());
+  std::printf("[area]   %+.2f%% (%.0f -> %.0f um^2)\n\n",
               flow.overhead.area_overhead_pct(),
               flow.overhead.original_area_um2, flow.overhead.hybrid_area_um2);
-  VariationOptions vopt;
-  vopt.samples = 300;
-  const auto variation = variation_analysis(flow.hybrid, lib, vopt);
-  std::printf("[yield]  %.1f%% at the +5%% period under process variation "
-              "(p99 delay %.1f ps)\n\n",
-              100.0 * variation.yield_at(flow.overhead.original_delay_ps *
-                                         1.05),
-              variation.p99_ps);
 
-  // -- 4. security ----------------------------------------------------------
+  // -- 3. security ----------------------------------------------------------
   std::printf("[attack cost] Eq.1 %s | Eq.2 %s | Eq.3 %s test clocks\n",
               flow.security.n_indep.to_string().c_str(),
               flow.security.n_dep.to_string().c_str(),

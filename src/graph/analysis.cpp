@@ -2,32 +2,15 @@
 
 #include <algorithm>
 #include <deque>
-#include <stdexcept>
 
 namespace stt {
 
-std::vector<int> combinational_levels(const Netlist& nl) {
-  std::vector<int> level(nl.size(), 0);
-  for (const CellId id : nl.topo_order()) {
-    const Cell& c = nl.cell(id);
-    if (c.kind == CellKind::kInput || c.kind == CellKind::kDff) continue;
-    int lvl = 0;
-    for (const CellId f : c.fanins) lvl = std::max(lvl, level[f] + 1);
-    level[id] = lvl;
-  }
-  return level;
-}
-
-namespace {
-
-// 0-1 BFS where crossing into (or out of) a DFF costs 1, everything else 0.
-// `forward` selects the edge direction: forward = PI->PO orientation.
-std::vector<int> zero_one_bfs(const Netlist& nl,
-                              const std::vector<CellId>& sources,
-                              bool forward) {
+std::vector<int> seq_depth_to_po(const Netlist& nl) {
+  // 0-1 BFS backward from the POs: stepping from a cell to its driver costs
+  // 1 when the cell is a DFF (one flip-flop crossed), 0 otherwise.
   std::vector<int> dist(nl.size(), kUnreachable);
   std::deque<CellId> queue;
-  for (const CellId s : sources) {
+  for (const CellId s : nl.outputs()) {
     if (dist[s] != 0) {
       dist[s] = 0;
       queue.push_front(s);
@@ -36,41 +19,18 @@ std::vector<int> zero_one_bfs(const Netlist& nl,
   while (!queue.empty()) {
     const CellId u = queue.front();
     queue.pop_front();
-    const int du = dist[u];
-    auto relax = [&](CellId v, int w) {
-      if (du + w < dist[v]) {
-        dist[v] = du + w;
-        if (w == 0) {
-          queue.push_front(v);
-        } else {
-          queue.push_back(v);
-        }
+    const int w = nl.cell(u).kind == CellKind::kDff ? 1 : 0;
+    for (const CellId v : nl.cell(u).fanins) {
+      if (dist[u] + w >= dist[v]) continue;
+      dist[v] = dist[u] + w;
+      if (w == 0) {
+        queue.push_front(v);
+      } else {
+        queue.push_back(v);
       }
-    };
-    if (forward) {
-      for (const CellId v : nl.cell(u).fanouts) {
-        relax(v, nl.cell(v).kind == CellKind::kDff ? 1 : 0);
-      }
-    } else {
-      // Walking backward from u to its driver v: if u itself is a DFF, the
-      // step crosses one flip-flop.
-      const int w = nl.cell(u).kind == CellKind::kDff ? 1 : 0;
-      for (const CellId v : nl.cell(u).fanins) relax(v, w);
     }
   }
   return dist;
-}
-
-}  // namespace
-
-std::vector<int> seq_depth_to_po(const Netlist& nl) {
-  std::vector<CellId> sources(nl.outputs().begin(), nl.outputs().end());
-  return zero_one_bfs(nl, sources, /*forward=*/false);
-}
-
-std::vector<int> seq_depth_from_pi(const Netlist& nl) {
-  std::vector<CellId> sources(nl.inputs().begin(), nl.inputs().end());
-  return zero_one_bfs(nl, sources, /*forward=*/true);
 }
 
 std::vector<int> tarjan_scc(const std::vector<std::vector<std::uint32_t>>& adj,
@@ -203,38 +163,6 @@ int circuit_seq_depth(const Netlist& nl) {
     if (nl.cell(id).kind == CellKind::kInput) d = std::max(d, best[comp[id]]);
   }
   return d <= 0 ? 1 : static_cast<int>(d);
-}
-
-namespace {
-
-std::vector<CellId> cone(const Netlist& nl, std::span<const CellId> roots,
-                         bool forward) {
-  std::vector<bool> seen(nl.size(), false);
-  std::vector<CellId> work(roots.begin(), roots.end());
-  std::vector<CellId> out;
-  while (!work.empty()) {
-    const CellId u = work.back();
-    work.pop_back();
-    if (u == kNullCell || seen[u]) continue;
-    seen[u] = true;
-    out.push_back(u);
-    const Cell& c = nl.cell(u);
-    const auto& next = forward ? c.fanouts : c.fanins;
-    for (const CellId v : next) work.push_back(v);
-  }
-  return out;
-}
-
-}  // namespace
-
-std::vector<CellId> fanin_cone(const Netlist& nl,
-                               std::span<const CellId> roots) {
-  return cone(nl, roots, /*forward=*/false);
-}
-
-std::vector<CellId> fanout_cone(const Netlist& nl,
-                                std::span<const CellId> roots) {
-  return cone(nl, roots, /*forward=*/true);
 }
 
 }  // namespace stt

@@ -1,8 +1,7 @@
 // Structural graph analyses over netlists.
 //
-// The selection algorithms and the security estimators need several graph
+// The selection algorithms and the security estimators need two graph
 // quantities:
-//  * combinational levels (for levelized simulation and STA ordering);
 //  * per-cell sequential depth — the minimum number of flip-flops between a
 //    cell and any primary output (the D_i of Eqs. 1-2);
 //  * the circuit sequential depth D — the maximum number of flip-flops on
@@ -12,8 +11,7 @@
 //    contributes its flip-flop count once, which is the natural acyclic
 //    reading of the paper's definition. One Tarjan pass and one
 //    longest-path sweep over the condensation make it linear in the
-//    netlist;
-//  * transitive fan-in/fan-out cones (attack cone extraction).
+//    netlist.
 #pragma once
 
 #include <cstdint>
@@ -26,17 +24,9 @@ namespace stt {
 
 inline constexpr int kUnreachable = std::numeric_limits<int>::max();
 
-/// Combinational level per cell: PIs, constants and DFF outputs are level 0;
-/// a gate is 1 + max(level of fan-ins). Indexed by CellId.
-std::vector<int> combinational_levels(const Netlist& nl);
-
 /// Minimum number of flip-flops on any path from each cell to a primary
 /// output (crossing a DFF costs 1). kUnreachable if no PO is reachable.
 std::vector<int> seq_depth_to_po(const Netlist& nl);
-
-/// Minimum number of flip-flops on any path from a primary input to each
-/// cell. kUnreachable if no PI reaches it.
-std::vector<int> seq_depth_from_pi(const Netlist& nl);
 
 /// The circuit sequential depth D of Eq. (3): the heaviest path from a PI's
 /// component to a PO's component in the SCC condensation of the cell graph,
@@ -44,14 +34,6 @@ std::vector<int> seq_depth_from_pi(const Netlist& nl);
 /// Returns at least 1 for sequential circuits, 1 for pure combinational
 /// (the paper's equations multiply by D, so D >= 1 keeps them meaningful).
 int circuit_seq_depth(const Netlist& nl);
-
-/// Transitive fan-in cone of `roots` (inclusive), as a CellId set in no
-/// particular order. Stops at nothing: crosses DFFs.
-std::vector<CellId> fanin_cone(const Netlist& nl, std::span<const CellId> roots);
-
-/// Transitive fan-out cone of `roots` (inclusive), crossing DFFs.
-std::vector<CellId> fanout_cone(const Netlist& nl,
-                                std::span<const CellId> roots);
 
 /// Tarjan strongly-connected components over an arbitrary adjacency list.
 /// Returns component index per node, components numbered in reverse

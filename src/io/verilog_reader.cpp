@@ -1,5 +1,6 @@
 #include "io/verilog_reader.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <optional>
@@ -11,6 +12,13 @@
 
 namespace stt {
 
+VerilogParseError::VerilogParseError(const std::string& msg, int line_no,
+                                     const std::string& src)
+    : std::runtime_error(src + ":" + std::to_string(line_no) + ": " + msg),
+      message(msg),
+      source(src),
+      line(line_no) {}
+
 namespace {
 
 struct Token {
@@ -20,26 +28,31 @@ struct Token {
 
 // Streaming lexer: tokens are produced on demand as views into the source
 // buffer (escaped identifiers, literals and punctuation alike), so parsing
-// allocates nothing per token.
+// allocates nothing per token. Line numbers are counted only when a
+// diagnostic is thrown.
 class Tokenizer {
  public:
   explicit Tokenizer(std::string_view text) : s_(text) {}
 
-  bool done() { return !ensure(); }
-  const Token& peek() {
-    static const Token kEof{"<eof>", false};
-    return ensure() ? cur_ : kEof;
+  /// Throw `msg` at the line holding `at`, a view into the source text.
+  [[noreturn]] void fail(const std::string& msg, std::string_view at) const {
+    const auto end = s_.begin() + (at.data() - s_.data());
+    throw VerilogParseError(
+        msg, 1 + static_cast<int>(std::count(s_.begin(), end, '\n')));
   }
+
+  bool done() { return !ensure(); }
   Token next() {
-    if (!ensure()) throw VerilogParseError("unexpected end of input");
+    if (!ensure()) fail("unexpected end of input", s_.substr(s_.size()));
     has_ = false;
     return cur_;
   }
   void expect(std::string_view text) {
     const Token t = next();
     if (t.text != text) {
-      throw VerilogParseError("expected '" + std::string(text) + "', got '" +
-                              std::string(t.text) + "'");
+      fail("expected '" + std::string(text) + "', got '" +
+               std::string(t.text) + "'",
+           t.text);
     }
   }
   bool accept(std::string_view text) {
@@ -52,8 +65,7 @@ class Tokenizer {
   std::string_view identifier() {
     const Token t = next();
     if (!t.is_identifier) {
-      throw VerilogParseError("expected identifier, got '" +
-                              std::string(t.text) + "'");
+      fail("expected identifier, got '" + std::string(t.text) + "'", t.text);
     }
     return t.text;
   }
@@ -89,7 +101,7 @@ class Tokenizer {
       if (c == '/' && i_ + 1 < n && s_[i_ + 1] == '*') {
         const std::size_t end = s_.find("*/", i_ + 2);
         if (end == std::string_view::npos) {
-          throw VerilogParseError("unterminated block comment");
+          fail("unterminated block comment", s_.substr(i_));
         }
         i_ = end + 2;
         continue;
@@ -206,7 +218,7 @@ Netlist read_verilog(std::string_view text, std::string fallback_name) {
     if (tok.accept("(")) tok.skip_past(")");
     tok.expect(";");
   }
-  if (!in_module) throw VerilogParseError("no module found");
+  if (!in_module) throw VerilogParseError("no module found", 0);
 
   auto parse_signal_list = [&](std::vector<std::string_view>* into) {
     // Optional range, then comma-separated identifiers, semicolon.
@@ -274,8 +286,8 @@ Netlist read_verilog(std::string_view text, std::string fallback_name) {
         def.kind = PendingDef::kAliasOrBuf;
         fanin_refs.push_back(rhs.text);
       } else {
-        throw VerilogParseError("unsupported assign RHS near '" +
-                                std::string(rhs.text) + "'");
+        tok.fail("unsupported assign RHS near '" + std::string(rhs.text) + "'",
+                 rhs.text);
       }
       tok.expect(";");
       seal_fanins(def);
@@ -334,8 +346,8 @@ Netlist read_verilog(std::string_view text, std::string fallback_name) {
           } else if (port == "a") {
             parse_concat_into_refs();
           } else {
-            throw VerilogParseError("unknown STT_LUT port '." +
-                                    std::string(port) + "'");
+            tok.fail("unknown STT_LUT port '." + std::string(port) + "'",
+                     port);
           }
           tok.expect(")");
         } while (tok.accept(","));
@@ -345,11 +357,10 @@ Netlist read_verilog(std::string_view text, std::string fallback_name) {
         defs.push_back(def);
         continue;
       }
-      throw VerilogParseError("unsupported statement near '" +
-                              std::string(head.text) + "'");
+      tok.fail("unsupported statement near '" + std::string(head.text) + "'",
+               head.text);
     }
-    throw VerilogParseError("unsupported token '" + std::string(head.text) +
-                            "'");
+    tok.fail("unsupported token '" + std::string(head.text) + "'", head.text);
   }
 
   const auto def_fanins = [&](const PendingDef& def) {
@@ -411,7 +422,7 @@ Netlist read_verilog(std::string_view text, std::string fallback_name) {
       if (it == alias.end()) break;
       cursor = it->second;
     }
-    throw VerilogParseError("undefined net '" + std::string(name) + "'");
+    tok.fail("undefined net '" + std::string(name) + "'", name);
   };
   std::vector<CellId> fanins;
   for (const PendingDef& def : defs) {
@@ -424,13 +435,27 @@ Netlist read_verilog(std::string_view text, std::string fallback_name) {
     nl.connect(id, fanins);
   }
   for (const std::string_view name : output_names) nl.mark_output(resolve(name));
-  nl.finalize();
+  try {
+    nl.finalize();
+  } catch (const CombinationalCycleError& e) {
+    // Located at the statement that drives the named cell.
+    const auto driver =
+        std::find_if(defs.begin(), defs.end(),
+                     [&](const PendingDef& def) { return def.name == e.cell; });
+    if (driver == defs.end()) throw;
+    tok.fail("combinational cycle through '" + e.cell + "'", driver->name);
+  }
   return nl;
 }
 
 Netlist read_verilog_file(const std::string& path) {
   const std::string text = slurp_file(path);
-  return read_verilog(text, file_stem(path));
+  try {
+    return read_verilog(text, file_stem(path));
+  } catch (const VerilogParseError& e) {
+    // Re-tag in-memory diagnostics with the actual file path.
+    throw VerilogParseError(e.message, e.line, path);
+  }
 }
 
 }  // namespace stt

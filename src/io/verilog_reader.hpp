@@ -14,7 +14,9 @@
 //   endmodule
 //
 // Line and block comments are handled; `module STT_LUTk ... endmodule`
-// blackbox declarations are skipped. Diagnostics carry the token position.
+// blackbox declarations are skipped. Diagnostics name the line of the
+// offending token (or, for a combinational cycle, of the statement driving
+// the named cell).
 #pragma once
 
 #include <stdexcept>
@@ -26,8 +28,12 @@
 namespace stt {
 
 struct VerilogParseError : std::runtime_error {
-  explicit VerilogParseError(const std::string& msg)
-      : std::runtime_error("verilog: " + msg) {}
+  /// what() renders as "<source>:<line>: <msg>".
+  VerilogParseError(const std::string& msg, int line,
+                    const std::string& source = "verilog");
+  std::string message;  ///< diagnostic without the source:line prefix
+  std::string source;   ///< "verilog" for in-memory text, file path otherwise
+  int line;             ///< 1-based; 0 = whole-file (no single culprit line)
 };
 
 Netlist read_verilog(std::string_view text, std::string fallback_name = "top");

@@ -1,5 +1,5 @@
 // Dead-logic removal: rebuild a netlist without cells that cannot reach a
-// primary output. Used by the optimization passes and after LUT absorption.
+// primary output. Used by the `const` defense and after LUT absorption.
 #pragma once
 
 #include "netlist/netlist.hpp"

@@ -30,8 +30,8 @@ struct PowerBreakdown {
   double total_uw() const { return dynamic_uw + leakage_uw; }
 };
 
-/// `alpha` is the per-cell output switching activity (see sim/activity.hpp),
-/// indexed by CellId; `freq_ghz` the operating clock.
+/// `alpha` is the per-cell output switching activity, indexed by CellId;
+/// `freq_ghz` the operating clock.
 PowerBreakdown estimate_power(const Netlist& nl, const TechLibrary& lib,
                               std::span<const double> alpha, double freq_ghz);
 

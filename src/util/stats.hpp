@@ -1,12 +1,11 @@
 // Streaming statistics accumulator (Welford) used by the overhead reports,
-// the attack-cost measurements, and the campaign engine's cross-thread
-// metric aggregation.
+// the attack-cost measurements, and the campaign summary.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <limits>
-#include <vector>
 
 namespace stt {
 
@@ -60,37 +59,6 @@ class Accumulator {
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// One Accumulator shard per worker thread, padded to a cache line so
-/// concurrent add() calls from different shards never false-share.
-/// Each shard is single-writer (the owning worker); combined() is called
-/// after the workers have finished.
-class ShardedAccumulator {
- public:
-  explicit ShardedAccumulator(std::size_t shards)
-      : shards_(shards ? shards : 1) {}
-
-  std::size_t shards() const { return shards_.size(); }
-
-  /// The shard index must identify the calling thread (e.g. the pool's
-  /// worker index); two threads must not share a shard concurrently.
-  void add(std::size_t shard, double x) { shards_.at(shard).acc.add(x); }
-
-  Accumulator& shard(std::size_t index) { return shards_.at(index).acc; }
-
-  /// Exact reduction across shards (order-independent counts/means).
-  Accumulator combined() const {
-    Accumulator total;
-    for (const Padded& p : shards_) total.merge(p.acc);
-    return total;
-  }
-
- private:
-  struct alignas(64) Padded {
-    Accumulator acc;
-  };
-  std::vector<Padded> shards_;
 };
 
 }  // namespace stt

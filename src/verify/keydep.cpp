@@ -177,22 +177,16 @@ KeydepResult analyze_keydep(const Netlist& nl, const KeydepOptions& opt) {
 
   // Backward structural observability: a 0 is a sound proof the cell's
   // value never reaches a primary output or flip-flop D pin.
-  BackwardDataflow<ObservabilityDomain> observability(nl);
-  const std::vector<char> reaches_obs = observability.solve();
+  const std::vector<char> reaches_obs = observable_cells(nl);
 
   // Forward support functions: exact Boolean functions over a small cut
   // vocabulary; a key variable absent from every observation function (and
   // never absorbed into a cut) is functionally vacuous.
-  SupportDomain::CutState cut_state;
+  SupportCuts cuts;
   std::vector<SupportFunction> support;
-  if (opt.support_analysis) {
+  {
     STTLOCK_SPAN("verify", "keydep_support");
-    cut_state.cut.assign(nl.size(), 0);
-    cut_state.absorbed.assign(nl.size(), 0);
-    SupportDomain domain;
-    domain.cut_state = &cut_state;
-    ForwardDataflow<SupportDomain> solver(nl, domain);
-    support = solver.solve();
+    support = support_functions(nl, cuts);
   }
 
   // The audit's ternary force probe over the same attacker-view wave.
@@ -247,7 +241,7 @@ KeydepResult analyze_keydep(const Netlist& nl, const KeydepOptions& opt) {
           rep.masked = probe.masked();
         }
       }
-      if (opt.support_analysis && have_obs && !cut_state.absorbed[id]) {
+      if (have_obs && !cuts.absorbed[id]) {
         bool seen = false;
         for (const CellId p : obs_points) {
           if (support[p].depends_on(id)) {

@@ -1,5 +1,6 @@
 // Key-dependency analysis: a static attack-resilience verdict per key cell,
-// built on the dataflow framework (verify/dataflow).
+// built on the attacker-view support and observability passes
+// (verify/dataflow).
 //
 // The paper's Eqs. (1)-(3) assume every missing gate contributes independent
 // key entropy; the obfuscation literature (Rajendran et al., DAC'12;
@@ -101,9 +102,6 @@ struct KeydepOptions {
   /// injected-constant detection and the removability proofs still apply
   /// (they need no declarations).
   DefenseAnnotations defense;
-  /// Run the support-function pass (KEY008 vacuousness). The ternary layer
-  /// alone already proves masking; this adds the finer functional check.
-  bool support_analysis = true;
 };
 
 struct KeydepResult {

@@ -1,8 +1,8 @@
-// The dataflow framework (verify/dataflow): solver behavior on hand-built
-// netlists, the attacker-view ternary wave the analyses start from
-// (PartialEvaluator with zero LUT knowledge), and the refinement the support
-// layer promises — every ternary fact it does not cut is provable there —
-// pinned on real locked benchmarks.
+// The attacker-view dataflow passes (verify/dataflow): their behavior on
+// hand-built netlists, the attacker-view ternary wave the analyses start
+// from (PartialEvaluator with zero LUT knowledge), and the refinement the
+// support pass promises — every ternary fact it does not cut is provable
+// there — pinned on real locked benchmarks.
 #include <gtest/gtest.h>
 
 #include "defense/registry.hpp"
@@ -95,8 +95,7 @@ TEST(ObservabilityDataflow, DeadConesAreUnobservable) {
   const CellId ff = nl.add_dff("ff", g3);  // D pin is an observation point
   nl.mark_output(g1);
 
-  BackwardDataflow<ObservabilityDomain> solver(nl);
-  const std::vector<char>& v = solver.solve();
+  const std::vector<char> v = observable_cells(nl);
   EXPECT_EQ(v[g1], 1);  // primary output
   EXPECT_EQ(v[g2], 0);  // no path to any observation point
   EXPECT_EQ(v[g3], 1);  // feeds a DFF D pin
@@ -108,8 +107,8 @@ TEST(ObservabilityDataflow, DeadConesAreUnobservable) {
 
 TEST(SupportDataflow, RedundantMuxDropsItsSelect) {
   // y = OR(AND(s, a), AND(NOT s, a)) == a: the select is functionally
-  // vacuous. Ternary says X for everything; the support layer proves the
-  // collapse — the strict refinement the domain chain promises.
+  // vacuous. Ternary says X for everything; the support pass proves the
+  // collapse — the strict refinement it promises over the ternary wave.
   Netlist nl("mux");
   const CellId s = nl.add_input("s");
   const CellId a = nl.add_input("a");
@@ -119,13 +118,8 @@ TEST(SupportDataflow, RedundantMuxDropsItsSelect) {
   const CellId y = nl.add_gate(CellKind::kOr, "y", {t1, t2});
   nl.mark_output(y);
 
-  SupportDomain::CutState state;
-  state.cut.assign(nl.size(), 0);
-  state.absorbed.assign(nl.size(), 0);
-  SupportDomain domain;
-  domain.cut_state = &state;
-  ForwardDataflow<SupportDomain> solver(nl, domain);
-  const std::vector<SupportFunction>& v = solver.solve();
+  SupportCuts cuts;
+  const std::vector<SupportFunction> v = support_functions(nl, cuts);
 
   EXPECT_EQ(attacker_wave(nl)[y], Tri::kX);  // the coarse layer cannot see it
 
@@ -143,16 +137,11 @@ TEST(DataflowConformance, SupportRefinesTernaryOnLockedBenches) {
     const Netlist nl = locked_netlist("s820", kind);
     const std::vector<Tri> t = attacker_wave(nl);
 
-    SupportDomain::CutState state;
-    state.cut.assign(nl.size(), 0);
-    state.absorbed.assign(nl.size(), 0);
-    SupportDomain domain;
-    domain.cut_state = &state;
-    ForwardDataflow<SupportDomain> solver(nl, domain);
-    const std::vector<SupportFunction>& v = solver.solve();
+    SupportCuts cuts;
+    const std::vector<SupportFunction> v = support_functions(nl, cuts);
 
     for (CellId id = 0; id < nl.size(); ++id) {
-      if (t[id] == Tri::kX || state.cut[id]) continue;
+      if (t[id] == Tri::kX || cuts.cut[id]) continue;
       // Every ternary-definite cell the support pass did not cut must be
       // the same constant function.
       ASSERT_TRUE(v[id].is_constant())

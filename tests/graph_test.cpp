@@ -26,28 +26,6 @@ Netlist pipeline() {
   return nl;
 }
 
-TEST(Levels, Pipeline) {
-  const Netlist nl = pipeline();
-  const auto lvl = combinational_levels(nl);
-  EXPECT_EQ(lvl[nl.find("x")], 0);
-  EXPECT_EQ(lvl[nl.find("f1")], 0);  // FF outputs are sources
-  EXPECT_EQ(lvl[nl.find("g1")], 1);
-  EXPECT_EQ(lvl[nl.find("g2")], 1);
-  EXPECT_EQ(lvl[nl.find("g3")], 1);
-}
-
-TEST(Levels, ChainDepth) {
-  Netlist nl;
-  CellId prev = nl.add_input("a");
-  const CellId b = nl.add_input("b");
-  for (int i = 0; i < 5; ++i) {
-    prev = nl.add_gate(CellKind::kNand, "n" + std::to_string(i), {prev, b});
-  }
-  nl.mark_output(prev);
-  nl.finalize();
-  EXPECT_EQ(combinational_levels(nl)[prev], 5);
-}
-
 TEST(SeqDepth, ToPoCountsFlipFlops) {
   const Netlist nl = pipeline();
   const auto d = seq_depth_to_po(nl);
@@ -57,16 +35,6 @@ TEST(SeqDepth, ToPoCountsFlipFlops) {
   EXPECT_EQ(d[nl.find("g1")], 2);  // crosses f1 and f2
   EXPECT_EQ(d[nl.find("x")], 1);   // best route: via g2, crossing f2
   EXPECT_EQ(d[nl.find("y")], 0);   // y feeds g3 directly
-}
-
-TEST(SeqDepth, FromPi) {
-  const Netlist nl = pipeline();
-  const auto d = seq_depth_from_pi(nl);
-  EXPECT_EQ(d[nl.find("g1")], 0);
-  EXPECT_EQ(d[nl.find("f1")], 1);
-  // f2's cheapest justification is x -> g2 -> f2: one flip-flop crossing.
-  EXPECT_EQ(d[nl.find("f2")], 1);
-  EXPECT_EQ(d[nl.find("g3")], 0);  // y reaches g3 with no flip-flop
 }
 
 TEST(SeqDepth, UnreachableIsMarked) {
@@ -274,28 +242,6 @@ TEST(Tarjan, EmptyAndSingleton) {
   const auto comp = tarjan_scc(adj, n);
   EXPECT_EQ(n, 1);
   EXPECT_EQ(comp[0], 0);
-}
-
-TEST(Cones, FaninConeOfPipeline) {
-  const Netlist nl = pipeline();
-  const CellId roots[] = {nl.find("g2")};
-  const auto cone = fanin_cone(nl, roots);
-  const std::set<CellId> set(cone.begin(), cone.end());
-  EXPECT_TRUE(set.count(nl.find("g2")));
-  EXPECT_TRUE(set.count(nl.find("f1")));
-  EXPECT_TRUE(set.count(nl.find("g1")));  // crosses the flip-flop
-  EXPECT_TRUE(set.count(nl.find("x")));
-  EXPECT_FALSE(set.count(nl.find("g3")));
-}
-
-TEST(Cones, FanoutConeOfPipeline) {
-  const Netlist nl = pipeline();
-  const CellId roots[] = {nl.find("g1")};
-  const auto cone = fanout_cone(nl, roots);
-  const std::set<CellId> set(cone.begin(), cone.end());
-  EXPECT_TRUE(set.count(nl.find("f1")));
-  EXPECT_TRUE(set.count(nl.find("g3")));
-  EXPECT_FALSE(set.count(nl.find("y")));
 }
 
 TEST(IoPath, SegmentsSplitAtSequentialCells) {

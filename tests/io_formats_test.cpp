@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+
 #include "attack/encode.hpp"
 #include "core/hybrid.hpp"
 #include "io/blif_io.hpp"
@@ -86,6 +89,81 @@ TEST(VerilogReader, ErrorsAreDiagnosed) {
       read_verilog("module m (y); output y; assign y = undefined_net; "
                    "endmodule"),
       VerilogParseError);
+}
+
+// Each diagnostic names the line it comes from, like the .bench and BLIF
+// readers; read_verilog_file prefixes the path.
+VerilogParseError verilog_error(const std::string& text) {
+  try {
+    read_verilog(text);
+  } catch (const VerilogParseError& e) {
+    return e;
+  }
+  ADD_FAILURE() << "expected VerilogParseError";
+  return VerilogParseError("", 0);
+}
+
+TEST(VerilogReader, BadTokenNamesItsLine) {
+  const VerilogParseError e = verilog_error(
+      "module m (a, y);\n"
+      "  input a; output y;\n"
+      "  assign y = a;\n"
+      "  frob x (y, a);\n"  // line 4
+      "endmodule\n");
+  EXPECT_EQ(e.line, 4) << e.what();
+  EXPECT_EQ(e.source, "verilog");
+  EXPECT_NE(e.message.find("'frob'"), std::string::npos) << e.what();
+  EXPECT_EQ(std::string(e.what()), "verilog:4: " + e.message);
+}
+
+TEST(VerilogReader, UndefinedNetNamesTheReferencingLine) {
+  const VerilogParseError e = verilog_error(
+      "module m (a, y);\n"
+      "  input a;\n"
+      "  output y;\n"
+      "  wire w;\n"
+      "  and g0 (w, a,\n"
+      "          missing);\n"  // line 6
+      "  assign y = w;\n"
+      "endmodule\n");
+  EXPECT_EQ(e.line, 6) << e.what();
+  EXPECT_NE(e.message.find("undefined net 'missing'"), std::string::npos)
+      << e.what();
+}
+
+TEST(VerilogReader, CombinationalCycleNamesACellAndItsLine) {
+  // b and c form the cycle; d only hangs off it, so it must not be named.
+  const std::string text =
+      "module loop (a, d);\n"
+      "  input a; output d;\n"
+      "  wire b, c;\n"
+      "  and g0 (b, a, c);\n"  // line 4
+      "  not g1 (c, b);\n"     // line 5
+      "  not g2 (d, c);\n"
+      "endmodule\n";
+  const VerilogParseError e = verilog_error(text);
+  const bool names_b = e.message.find("'b'") != std::string::npos;
+  const bool names_c = e.message.find("'c'") != std::string::npos;
+  EXPECT_TRUE(names_b != names_c) << e.what();
+  EXPECT_NE(e.message.find("combinational cycle"), std::string::npos)
+      << e.what();
+  EXPECT_EQ(e.line, names_b ? 4 : 5) << e.what();
+
+  const std::string path = ::testing::TempDir() + "/cycle.v";
+  {
+    std::ofstream out(path);
+    out << text;
+  }
+  try {
+    read_verilog_file(path);
+    ADD_FAILURE() << "expected VerilogParseError";
+  } catch (const VerilogParseError& f) {
+    EXPECT_EQ(f.source, path);
+    EXPECT_EQ(f.line, e.line);
+    EXPECT_EQ(std::string(f.what()),
+              path + ":" + std::to_string(e.line) + ": " + e.message);
+  }
+  std::remove(path.c_str());
 }
 
 // Property: write_verilog -> read_verilog preserves the scan-view function

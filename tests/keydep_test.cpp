@@ -35,6 +35,16 @@ KeydepResult analyze(const defense::DefenseResult& r) {
   return analyze_keydep(r.locked, opt);
 }
 
+// 64-bit FNV-1a, for pinning a whole JSON document in one constant.
+std::uint64_t fnv1a(std::string_view s) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
 int count_rule(const std::vector<LintFinding>& findings, LintRule rule) {
   int n = 0;
   for (const LintFinding& f : findings) {
@@ -100,6 +110,30 @@ TEST(Keydep, XorLockedBenchIsDegradedWithInterferenceJustification) {
     }
   }
   EXPECT_EQ(count_rule(k.findings, LintRule::kKeySpace), 1);
+}
+
+// The whole `analyze` JSON document, pinned: any change to the support or
+// observability passes, the verdicts or the interference graph moves the
+// digest.
+TEST(Keydep, JsonPinnedOnS820) {
+  struct Pin {
+    const char* kind;
+    std::uint64_t digest;
+    int eff_key_bits;
+  };
+  const Pin pins[] = {
+      {"xor", 0x9ea9676e14a9b5abull, 16},
+      {"const", 0x16ee7c4bb7d4b85full, 0},
+      {"latch", 0xcf3adec17be4fd74ull, 6},
+      {"dependent", 0x2b69c4918849f3e7ull, 56},
+  };
+  for (const Pin& p : pins) {
+    SCOPED_TRACE(p.kind);
+    const defense::DefenseResult r = lock("s820", p.kind);
+    const KeydepResult k = analyze(r);
+    EXPECT_EQ(k.eff_key_bits, p.eff_key_bits);
+    EXPECT_EQ(fnv1a(keydep_json(r.locked, k)), p.digest);
+  }
 }
 
 // The rank-ordered first-hit scan against brute force: explicit cone sets,

@@ -7,7 +7,6 @@
 #include "core/flow.hpp"
 #include "power/trace.hpp"
 #include "synth/generator.hpp"
-#include "timing/variation.hpp"
 
 namespace stt {
 namespace {
@@ -50,10 +49,6 @@ TEST(Reproducibility, GeneratorIsSeedPure) {
 TEST(Reproducibility, StochasticAnalysesAreSeedPure) {
   const TechLibrary lib = TechLibrary::cmos90_stt();
   const Netlist nl = generate_circuit(*find_profile("s820"), 5);
-  VariationOptions vopt;
-  vopt.samples = 64;
-  EXPECT_EQ(variation_analysis(nl, lib, vopt).critical_delays_ps,
-            variation_analysis(nl, lib, vopt).critical_delays_ps);
   TraceOptions topt;
   topt.cycles = 64;
   topt.noise_sigma_fj = 3.0;

@@ -213,22 +213,6 @@ TEST(AccumulatorTest, MergeMatchesSerialAccumulation) {
   EXPECT_EQ(left.max(), serial.max());
 }
 
-TEST(ShardedAccumulatorTest, CombinesAcrossThreads) {
-  ShardedAccumulator sharded(4);
-  std::vector<std::thread> threads;
-  for (std::size_t s = 0; s < 4; ++s) {
-    threads.emplace_back([&sharded, s] {
-      for (int i = 0; i < 1000; ++i) {
-        sharded.add(s, static_cast<double>(i));
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  const Accumulator total = sharded.combined();
-  EXPECT_EQ(total.count(), 4000u);
-  EXPECT_NEAR(total.mean(), 499.5, 1e-9);
-}
-
 CampaignSpec small_spec(unsigned jobs) {
   CampaignSpec spec;
   spec.benchmarks = {"s641", "s820"};  // the two smallest Table I circuits

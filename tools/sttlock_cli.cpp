@@ -675,8 +675,6 @@ int cmd_analyze(const std::vector<std::string>& args) {
                "annotations automatically",
                "");
   p.add_option("--out", "machine-readable report output path", "");
-  p.add_flag("--no-support",
-             "skip the support-function pass (KEY008 vacuousness)");
   cli::CommonOptions common_opt(
       p, cli::kJobs | cli::kObs | cli::kQuiet | cli::kJson);
   p.parse(args);
@@ -722,7 +720,6 @@ int cmd_analyze(const std::vector<std::string>& args) {
   const auto analyze_at = [&](std::size_t i) {
     KeydepOptions opt;
     opt.defense = tasks[i].annotations;
-    opt.support_analysis = !p.flag("--no-support");
     try {
       results[i] = analyze_keydep(tasks[i].nl, opt);
     } catch (const std::exception& e) {
