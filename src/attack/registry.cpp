@@ -1,12 +1,9 @@
 #include "attack/registry.hpp"
 
-#include <charconv>
 #include <chrono>
-#include <cmath>
 #include <map>
 #include <sstream>
 #include <stdexcept>
-#include <type_traits>
 
 #include "attack/brute_force.hpp"
 #include "attack/dpa.hpp"
@@ -18,6 +15,7 @@
 #include "obs/obs.hpp"
 #include "power/trace.hpp"
 #include "tech/tech_library.hpp"
+#include "util/knob.hpp"
 #include "verify/keydep.hpp"
 
 namespace stt::attack {
@@ -40,51 +38,23 @@ ScanOracle make_oracle(const Ctx& c) {
                                  : ScanOracle(c.configured);
 }
 
-[[noreturn]] void bad_tuning(const std::string& attack,
-                             const std::string& key) {
-  throw std::invalid_argument("attack registry: unknown tuning key \"" + key +
-                              "\" for attack \"" + attack + "\"");
-}
-
-bool truthy(const std::string& v) { return v == "1" || v == "true"; }
-
-/// Strict parse of a numeric tuning value: the whole string must be a
-/// finite number (an integer for integral T) >= `min`, else
-/// std::invalid_argument names the attack, the key and the value.
-template <typename T>
-T parse_knob(const std::string& attack, const std::string& key,
-             const std::string& value, T min) {
-  T v{};
-  const char* end = value.data() + value.size();
-  const auto [ptr, ec] = std::from_chars(value.data(), end, v);
-  if (ec != std::errc() || ptr != end || !std::isfinite(v) || v < min) {
-    std::ostringstream need;
-    need << (std::is_integral_v<T> ? "an integer" : "a number") << " >= "
-         << min;
-    throw std::invalid_argument("attack \"" + attack + "\": tuning key \"" +
-                                key + "\" needs " + need.str() + ", got \"" +
-                                value + "\"");
-  }
-  return v;
-}
-
 void fold_base(UnifiedResult& u, const AttackBase& b) {
   static_cast<AttackBase&>(u) = b;
 }
+
+constexpr Knob<SatAttackOptions> kSatKnobs[] = {
+    {.name = "max_iterations", .doc = "DIP cap",
+     .field = &SatAttackOptions::max_iterations, .min = 1},
+    {.name = "warmup_words",
+     .doc = "64-pattern simulation words seeding the learned-row warm-up "
+            "(0 disables)", .field = &SatAttackOptions::warmup_words},
+};
 
 UnifiedResult run_sat(const Ctx& c) {
   SatAttackOptions opt;
   opt.overlay(c.common);
   opt.parallel = c.parallel;
-  for (const auto& [k, v] : c.tuning) {
-    if (k == "max_iterations") {
-      opt.max_iterations = parse_knob("sat", k, v, 1);
-    } else if (k == "warmup_words") {
-      opt.warmup_words = parse_knob("sat", k, v, 0);
-    } else {
-      bad_tuning("sat", k);
-    }
-  }
+  apply_tuning(kSatKnobs, opt, c.tuning, "attack", "sat");
   ScanOracle oracle = make_oracle(c);
   const SatAttackResult r = run_sat_attack(c.hybrid, oracle, opt);
   UnifiedResult u;
@@ -99,18 +69,17 @@ UnifiedResult run_sat(const Ctx& c) {
   return u;
 }
 
+constexpr Knob<SeqAttackOptions> kSeqKnobs[] = {
+    {.name = "frames", .doc = "unrolled time frames per query",
+     .field = &SeqAttackOptions::frames, .min = 1},
+    {.name = "max_iterations", .doc = "distinguishing-sequence cap",
+     .field = &SeqAttackOptions::max_iterations, .min = 1},
+};
+
 UnifiedResult run_seq(const Ctx& c) {
   SeqAttackOptions opt;
   opt.overlay(c.common);
-  for (const auto& [k, v] : c.tuning) {
-    if (k == "frames") {
-      opt.frames = parse_knob("seq", k, v, 1);
-    } else if (k == "max_iterations") {
-      opt.max_iterations = parse_knob("seq", k, v, 1);
-    } else {
-      bad_tuning("seq", k);
-    }
-  }
+  apply_tuning(kSeqKnobs, opt, c.tuning, "attack", "seq");
   const SeqAttackResult r =
       run_sequential_sat_attack(c.hybrid, c.configured, opt);
   UnifiedResult u;
@@ -125,18 +94,19 @@ UnifiedResult run_seq(const Ctx& c) {
   return u;
 }
 
+constexpr Knob<BruteForceOptions> kBfKnobs[] = {
+    {.name = "screening_patterns",
+     .doc = "oracle patterns per candidate screen",
+     .field = &BruteForceOptions::screening_patterns, .min = 1},
+    {.name = "all_masks",
+     .doc = "search all 2^2^k masks, not just standard gate candidates",
+     .field = &BruteForceOptions::standard_candidates_only, .negate = true},
+};
+
 UnifiedResult run_bf(const Ctx& c) {
   BruteForceOptions opt;
   opt.overlay(c.common);
-  for (const auto& [k, v] : c.tuning) {
-    if (k == "screening_patterns") {
-      opt.screening_patterns = parse_knob("bf", k, v, 1);
-    } else if (k == "all_masks") {
-      opt.standard_candidates_only = !truthy(v);
-    } else {
-      bad_tuning("bf", k);
-    }
-  }
+  apply_tuning(kBfKnobs, opt, c.tuning, "attack", "bf");
   ScanOracle oracle = make_oracle(c);
   const BruteForceResult r = run_brute_force(c.hybrid, oracle, opt);
   UnifiedResult u;
@@ -149,18 +119,18 @@ UnifiedResult run_bf(const Ctx& c) {
   return u;
 }
 
+constexpr Knob<MlAttackOptions> kMlKnobs[] = {
+    {.name = "training_patterns", .doc = "oracle patterns in the training set",
+     .field = &MlAttackOptions::training_patterns, .min = 1},
+    {.name = "bitflip",
+     .doc = "anneal over raw mask bits instead of standard gate candidates",
+     .field = &MlAttackOptions::standard_candidates_only, .negate = true},
+};
+
 UnifiedResult run_ml(const Ctx& c) {
   MlAttackOptions opt;
   opt.overlay(c.common);
-  for (const auto& [k, v] : c.tuning) {
-    if (k == "training_patterns") {
-      opt.training_patterns = parse_knob("ml", k, v, 1);
-    } else if (k == "bitflip") {
-      opt.standard_candidates_only = !truthy(v);
-    } else {
-      bad_tuning("ml", k);
-    }
-  }
+  apply_tuning(kMlKnobs, opt, c.tuning, "attack", "ml");
   ScanOracle oracle = make_oracle(c);
   const MlAttackResult r = run_ml_attack(c.hybrid, oracle, opt);
   UnifiedResult u;
@@ -175,7 +145,7 @@ UnifiedResult run_ml(const Ctx& c) {
 UnifiedResult run_sens(const Ctx& c) {
   SensitizationOptions opt;
   opt.overlay(c.common);
-  if (!c.tuning.empty()) bad_tuning("sens", c.tuning.front().first);
+  apply_tuning<SensitizationOptions>({}, opt, c.tuning, "attack", "sens");
   ScanOracle oracle = make_oracle(c);
   const SensitizationResult r =
       run_sensitization_attack(c.hybrid, oracle, opt);
@@ -189,16 +159,16 @@ UnifiedResult run_sens(const Ctx& c) {
   return u;
 }
 
+constexpr Knob<GuidedSensOptions> kGsensKnobs[] = {
+    {.name = "max_witnesses_per_row",
+     .doc = "witness attempts before a row is abandoned",
+     .field = &GuidedSensOptions::max_witnesses_per_row, .min = 1},
+};
+
 UnifiedResult run_gsens(const Ctx& c) {
   GuidedSensOptions opt;
   opt.overlay(c.common);
-  for (const auto& [k, v] : c.tuning) {
-    if (k == "max_witnesses_per_row") {
-      opt.max_witnesses_per_row = parse_knob("gsens", k, v, 1);
-    } else {
-      bad_tuning("gsens", k);
-    }
-  }
+  apply_tuning(kGsensKnobs, opt, c.tuning, "attack", "gsens");
   ScanOracle oracle = make_oracle(c);
   const GuidedSensResult r = run_guided_sensitization(c.hybrid, oracle, opt);
   UnifiedResult u;
@@ -211,30 +181,35 @@ UnifiedResult run_gsens(const Ctx& c) {
   return u;
 }
 
+/// What `dpa`'s knobs set: the measured trace and the attacked LUT.
+struct DpaRequest : TraceOptions {
+  std::string target;  ///< empty: the first LUT
+};
+
+constexpr Knob<DpaRequest> kDpaKnobs[] = {
+    {.name = "cycles", .doc = "measured trace length in clock cycles",
+     .field = &DpaRequest::cycles, .min = 1},
+    {.name = "noise_fj", .doc = "gaussian measurement noise sigma in fJ",
+     .field = &DpaRequest::noise_sigma_fj},
+    {.name = "target", .doc = "name of the LUT cell to attack",
+     .field = &DpaRequest::target, .note = "<first LUT>"},
+};
+
 UnifiedResult run_dpa(const Ctx& c) {
   DpaOptions opt;
   opt.overlay(c.common);
-  TraceOptions trace;
-  std::string target_name;
-  for (const auto& [k, v] : c.tuning) {
-    if (k == "cycles") {
-      trace.cycles = parse_knob("dpa", k, v, 1);
-    } else if (k == "noise_fj") {
-      trace.noise_sigma_fj = parse_knob("dpa", k, v, 0.0);
-    } else if (k == "target") {
-      target_name = v;
-    } else {
-      bad_tuning("dpa", k);
-    }
-  }
+  DpaRequest req;
+  apply_tuning(kDpaKnobs, req, c.tuning, "attack", "dpa");
+  TraceOptions trace = req;
   trace.seed = opt.seed;
 
   CellId target = kNullCell;
-  if (!target_name.empty()) {
-    target = c.configured.find(target_name);
+  if (!req.target.empty()) {
+    target = c.configured.find(req.target);
     if (target == kNullCell || c.configured.cell(target).kind != CellKind::kLut) {
       throw std::invalid_argument(
-          "attack registry: dpa target must name a LUT cell");
+          "attack \"dpa\": tuning key \"target\" needs the name of a LUT "
+          "cell, got \"" + req.target + "\"");
     }
   } else {
     for (CellId id = 0; id < c.configured.size(); ++id) {
@@ -273,9 +248,10 @@ UnifiedResult run_dpa(const Ctx& c) {
 // observation points) is claimed with mask 0, which is interface-preserving
 // by the removability proof. Solved when nothing else holds key material.
 UnifiedResult run_static(const Ctx& c) {
-  if (!c.tuning.empty()) bad_tuning("static", c.tuning.front().first);
+  KeydepOptions opt;
+  apply_tuning<KeydepOptions>({}, opt, c.tuning, "attack", "static");
   const auto start = std::chrono::steady_clock::now();
-  const KeydepResult r = analyze_keydep(c.hybrid);
+  const KeydepResult r = analyze_keydep(c.hybrid, opt);
   UnifiedResult u;
   int resolved_cells = 0;
   int constant_bits = 0;
@@ -309,70 +285,41 @@ UnifiedResult run_static(const Ctx& c) {
 
 using Runner = UnifiedResult (*)(const Ctx&);
 
-const std::map<std::string, Runner, std::less<>>& runners() {
-  static const std::map<std::string, Runner, std::less<>> m = {
-      {"bf", &run_bf},     {"dpa", &run_dpa},       {"gsens", &run_gsens},
-      {"ml", &run_ml},     {"sat", &run_sat},       {"sens", &run_sens},
-      {"seq", &run_seq},   {"static", &run_static},
-  };
-  return m;
-}
+struct Entry {
+  std::string_view description;
+  Runner run;
+  std::vector<KnobDoc> knobs;
+};
 
-// Catalogue text for `sttlock attack --list`. The knob keys must stay in
-// lock-step with the adapters above (attack_api_test pins the coverage).
-const std::map<std::string, AttackInfo, std::less<>>& catalogue_entries() {
-  static const std::map<std::string, AttackInfo, std::less<>> m = {
-      {"bf",
-       {"bf",
-        "exhaustive key search over the Eq. (3) candidate space, "
-        "screening-pattern pre-filtered",
-        {{"screening_patterns", "192",
-          "oracle patterns per candidate screen (>= 1)"},
-         {"all_masks", "0", "search all 2^2^k masks, not just standard "
-                            "gate candidates"}}}},
-      {"dpa",
-       {"dpa",
-        "differential power analysis of one STT LUT from a simulated "
-        "power trace",
-        {{"cycles", "512", "measured trace length in clock cycles (>= 1)"},
-         {"noise_fj", "0", "gaussian measurement noise sigma in fJ (>= 0)"},
-         {"target", "<first LUT>", "name of the LUT cell to attack"}}}},
-      {"gsens",
-       {"gsens",
-        "SAT-guided sensitization: prove or refute a propagation witness "
-        "per truth-table row",
-        {{"max_witnesses_per_row", "16",
-          "witness attempts before a row is abandoned (>= 1)"}}}},
-      {"ml",
-       {"ml",
-        "simulated-annealing model fit of the key against oracle responses",
-        {{"training_patterns", "256",
-          "oracle patterns in the training set (>= 1)"},
-         {"bitflip", "0", "anneal over raw mask bits instead of standard "
-                          "gate candidates"}}}},
-      {"sat",
-       {"sat",
-        "oracle-guided SAT attack (DIP refinement, cone-pruned encoding, "
-        "simulation warm-up)",
-        {{"max_iterations", "512", "DIP cap (>= 1)"},
-         {"warmup_words", "4", "64-pattern simulation words seeding the "
-                               "learned-row warm-up (0 disables)"}}}},
-      {"sens",
-       {"sens",
-        "classic input-sensitization attack: justify each row, observe "
-        "through a sensitized path",
-        {}}},
-      {"seq",
-       {"seq",
-        "sequential SAT attack: time-frame unrolling against a "
-        "scan-locked chip",
-        {{"frames", "8", "unrolled time frames per query (>= 1)"},
-         {"max_iterations", "256", "distinguishing-sequence cap (>= 1)"}}}},
-      {"static",
-       {"static",
-        "oracle-free key-dependency analysis: unit-propagates injected "
-        "constants and claims removable key cells with zero queries",
-        {}}},
+/// The registered attacks with their `--list` text, read off the adapters'
+/// knob tables above.
+const std::map<std::string, Entry, std::less<>>& entries() {
+  static const std::map<std::string, Entry, std::less<>> m = {
+      {"bf", {"exhaustive key search over the Eq. (3) candidate space, "
+              "screening-pattern pre-filtered",
+              &run_bf, knob_docs<BruteForceOptions>(kBfKnobs)}},
+      {"dpa", {"differential power analysis of one STT LUT from a "
+               "simulated power trace",
+               &run_dpa, knob_docs<DpaRequest>(kDpaKnobs)}},
+      {"gsens", {"SAT-guided sensitization: prove or refute a propagation "
+                 "witness per truth-table row",
+                 &run_gsens, knob_docs<GuidedSensOptions>(kGsensKnobs)}},
+      {"ml", {"simulated-annealing model fit of the key against oracle "
+              "responses",
+              &run_ml, knob_docs<MlAttackOptions>(kMlKnobs)}},
+      {"sat", {"oracle-guided SAT attack (DIP refinement, cone-pruned "
+               "encoding, simulation warm-up)",
+               &run_sat, knob_docs<SatAttackOptions>(kSatKnobs)}},
+      {"sens", {"classic input-sensitization attack: justify each row, "
+                "observe through a sensitized path",
+                &run_sens, {}}},
+      {"seq", {"sequential SAT attack: time-frame unrolling against a "
+               "scan-locked chip",
+               &run_seq, knob_docs<SeqAttackOptions>(kSeqKnobs)}},
+      {"static", {"oracle-free key-dependency analysis: unit-propagates "
+                  "injected constants and claims removable key cells with "
+                  "zero queries",
+                  &run_static, {}}},
   };
   return m;
 }
@@ -384,10 +331,10 @@ UnifiedResult Registry::run(std::string_view name, const Netlist& hybrid,
                             const CommonAttackOptions& common,
                             const Tuning& tuning, ParallelFor* parallel,
                             const CompiledSim* oracle_sim) const {
-  const auto it = runners().find(name);
-  if (it == runners().end()) {
+  const auto it = entries().find(name);
+  if (it == entries().end()) {
     std::string known;
-    for (const auto& [n, fn] : runners()) {
+    for (const auto& [n, e] : entries()) {
       known += known.empty() ? n : ", " + n;
     }
     throw std::invalid_argument("attack registry: unknown attack \"" +
@@ -397,33 +344,26 @@ UnifiedResult Registry::run(std::string_view name, const Netlist& hybrid,
   static obs::Counter& runs = obs::Metrics::global().counter("attack.runs");
   runs.add(1);
   const Ctx ctx{hybrid, configured, common, tuning, parallel, oracle_sim};
-  UnifiedResult u = it->second(ctx);
+  UnifiedResult u = it->second.run(ctx);
   u.attack = std::string(name);
   return u;
 }
 
 bool Registry::contains(std::string_view name) const {
-  return runners().count(name) != 0;
+  return entries().count(name) != 0;
 }
 
 std::vector<std::string> Registry::names() const {
   std::vector<std::string> out;
-  for (const auto& [n, fn] : runners()) out.push_back(n);
+  for (const auto& [n, e] : entries()) out.push_back(n);
   return out;
-}
-
-AttackInfo Registry::info(std::string_view name) const {
-  const auto it = catalogue_entries().find(name);
-  if (it == catalogue_entries().end()) {
-    throw std::invalid_argument("attack registry: unknown attack \"" +
-                                std::string(name) + "\"");
-  }
-  return it->second;
 }
 
 std::vector<AttackInfo> Registry::catalogue() const {
   std::vector<AttackInfo> out;
-  for (const auto& [n, info] : catalogue_entries()) out.push_back(info);
+  for (const auto& [n, e] : entries()) {
+    out.push_back({n, std::string(e.description), e.knobs});
+  }
   return out;
 }
 

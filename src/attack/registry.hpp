@@ -24,12 +24,12 @@
 
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "attack/common.hpp"
 #include "attack/sat_attack.hpp"
 #include "netlist/netlist.hpp"
+#include "util/knob.hpp"
 
 namespace stt {
 class CompiledSim;
@@ -52,24 +52,17 @@ struct UnifiedResult : AttackBase {
 };
 
 /// Attack-specific knobs passed as (key, value) strings, e.g.
-/// {{"warmup_words", "8"}, {"frames", "12"}}. Adapters reject unknown keys
-/// with std::invalid_argument so CLI typos surface instead of silently
-/// running defaults. An empty tuning plus a default request reproduces the
-/// direct call exactly.
-using Tuning = std::vector<std::pair<std::string, std::string>>;
-
-/// One accepted Tuning key of an attack, for `sttlock attack --list`.
-struct AttackKnob {
-  std::string key;
-  std::string default_value;  ///< rendered default (may be a sentinel note)
-  std::string help;
-};
+/// {{"warmup_words", "8"}, {"frames", "12"}}, applied through the adapter's
+/// knob table (util/knob.hpp): an unknown key or a bad value throws
+/// std::invalid_argument. An empty tuning plus a default request reproduces
+/// the direct call exactly.
+using Tuning = stt::Tuning;
 
 /// Catalogue entry: everything the CLI listing needs about one attack.
 struct AttackInfo {
   std::string name;
   std::string description;  ///< one line
-  std::vector<AttackKnob> knobs;
+  std::vector<KnobDoc> knobs;
 };
 
 class Registry {
@@ -94,9 +87,6 @@ class Registry {
   bool contains(std::string_view name) const;
   /// Registered names, sorted.
   std::vector<std::string> names() const;
-  /// Catalogue entry for one attack; throws std::invalid_argument for an
-  /// unknown name.
-  AttackInfo info(std::string_view name) const;
   /// All catalogue entries, sorted by name (the `--list` payload).
   std::vector<AttackInfo> catalogue() const;
 };

@@ -171,7 +171,6 @@ class Solver {
   Var heap_pop();
   void heap_up(int i);
   void heap_down(int i);
-  bool heap_contains(Var v) const { return heap_pos_[v] >= 0; }
 
   std::vector<Clause> clauses_;
   std::vector<std::vector<Watch>> watches_;        // indexed by lit code

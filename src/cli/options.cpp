@@ -2,9 +2,11 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
+#include "attack/registry.hpp"
 #include "defense/registry.hpp"
 #include "sim/isa.hpp"
 #include "synth/generator.hpp"
@@ -45,12 +47,8 @@ CommonOptions::CommonOptions(ArgParser& parser, unsigned groups)
 
 void CommonOptions::load(const ArgParser& parser) {
   if (groups_ & kJobs) {
-    const std::int64_t jobs = parser.get_int("--jobs");
-    if (jobs < 0) {
-      throw ArgError("option '--jobs' expects a thread count >= 0, got '" +
-                     parser.get("--jobs") + "'");
-    }
-    jobs_ = static_cast<unsigned>(jobs);
+    jobs_ = static_cast<unsigned>(
+        parser.get_int("--jobs", 0, std::numeric_limits<unsigned>::max()));
   }
   if (groups_ & kTrace) trace_ = parser.get("--trace");
   if (groups_ & kMetrics) metrics_ = parser.get("--metrics");
@@ -122,6 +120,40 @@ std::vector<std::string> expand_profiles(const std::string& arg) {
     names.push_back(name);
   }
   return names;
+}
+
+namespace {
+
+/// One `--list` entry: kind, description, then one line per knob.
+void list_kind(std::string& out, const std::string& name,
+               std::string_view description,
+               const std::vector<KnobDoc>& knobs, int width) {
+  out += strformat("  %-*s %s\n", width, name.c_str(),
+                   std::string(description).c_str());
+  for (const KnobDoc& knob : knobs) {
+    out += strformat("%*s--tune %s=<%s> (default %s): %s\n", width + 3, "",
+                     knob.name.c_str(), knob.type.c_str(),
+                     knob.default_value.c_str(), knob.doc.c_str());
+  }
+}
+
+}  // namespace
+
+std::string attack_list_text() {
+  std::string out = "registered attacks:\n";
+  for (const attack::AttackInfo& info : attack::registry().catalogue()) {
+    list_kind(out, info.name, info.description, info.knobs, 6);
+  }
+  return out;
+}
+
+std::string defense_list_text() {
+  std::string out = "registered defenses:\n";
+  for (const std::string& name : defense::registry().names()) {
+    const defense::DefenseBase& d = defense::registry().at(name);
+    list_kind(out, name, d.description(), d.knobs(), 12);
+  }
+  return out;
 }
 
 void write_text_file(const std::string& path, const std::string& content) {

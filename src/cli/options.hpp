@@ -86,6 +86,11 @@ std::vector<DefenseAxis> parse_defense_axis(const std::string& arg);
 /// an unknown profile and listing the known ones.
 std::vector<std::string> expand_profiles(const std::string& arg);
 
+/// The `attack --list` and `defend --list` text: each kind, its description
+/// and one line per knob (type, range, default, doc) from its knob table.
+std::string attack_list_text();
+std::string defense_list_text();
+
 /// Write `content` to `path`, throwing std::runtime_error on failure.
 void write_text_file(const std::string& path, const std::string& content);
 

@@ -96,9 +96,14 @@ LutKey read_bitstream(const std::string& image,
   const std::string body = image.substr(0, crc_pos);
   const auto crc_fields = split_ws(image.substr(crc_pos));
   if (crc_fields.size() != 2) throw BitstreamError("malformed CRC line");
-  const auto stored = static_cast<std::uint32_t>(
-      std::stoul(crc_fields[1], nullptr, 16));
-  if (stored != crc32(body)) throw BitstreamError("CRC mismatch");
+  // A parsed field's value, or an error naming the field and its text.
+  const auto need = [](auto value, const char* what, const std::string& text) {
+    if (value) return *value;
+    throw BitstreamError(std::string("malformed ") + what + " '" + text + "'");
+  };
+  if (need(parse_hex(crc_fields[1]), "CRC", crc_fields[1]) != crc32(body)) {
+    throw BitstreamError("CRC mismatch");
+  }
 
   LutKey key;
   std::uint64_t fingerprint = 0;
@@ -116,18 +121,17 @@ LutKey read_bitstream(const std::string& image,
       // informational
     } else if (fields[0] == "fingerprint") {
       if (fields.size() != 2) throw BitstreamError("malformed fingerprint");
-      fingerprint = std::stoull(fields[1], nullptr, 16);
+      fingerprint = need(parse_hex(fields[1]), "fingerprint", fields[1]);
     } else if (fields[0] == "records") {
       if (fields.size() != 2) throw BitstreamError("malformed record count");
-      expected_records = std::stoull(fields[1]);
+      expected_records = static_cast<std::size_t>(
+          need(parse_int(fields[1], 0), "record count", fields[1]));
     } else if (fields[0] == "lut") {
       if (fields.size() != 4) throw BitstreamError("malformed LUT record");
-      const int fanin = std::stoi(fields[2]);
-      if (fanin < 1 || fanin > kMaxLutInputs) {
-        throw BitstreamError("LUT record fan-in out of range");
-      }
-      key[fields[1]] =
-          std::stoull(fields[3], nullptr, 16) & full_mask(fanin);
+      const auto fanin = need(parse_int(fields[2], 1, kMaxLutInputs),
+                              "LUT fan-in", fields[2]);
+      key[fields[1]] = need(parse_hex(fields[3]), "LUT mask", fields[3]) &
+                       full_mask(static_cast<int>(fanin));
     } else {
       throw BitstreamError("unknown line '" + line + "'");
     }

@@ -67,8 +67,12 @@ LutKey key_from_string(const std::string& text) {
       throw std::invalid_argument("key_from_string: malformed line '" + line +
                                   "'");
     }
-    key[fields[0]] =
-        static_cast<std::uint64_t>(std::stoull(fields[1], nullptr, 16));
+    const auto mask = parse_hex(fields[1]);
+    if (!mask) {
+      throw std::invalid_argument("key_from_string: bad hex mask '" +
+                                  fields[1] + "' for '" + fields[0] + "'");
+    }
+    key[fields[0]] = *mask;
   }
   return key;
 }

@@ -46,10 +46,6 @@ class ReplacementJournal {
     c.lut_mask = 0;
   }
 
-  void undo_all() {
-    while (!entries_.empty()) undo_last();
-  }
-
   void commit_into(SelectionResult& result) {
     for (const auto& e : entries_) {
       result.replaced.push_back(e.id);
@@ -59,7 +55,6 @@ class ReplacementJournal {
   }
 
   std::size_t size() const { return entries_.size(); }
-  CellId id_at(std::size_t i) const { return entries_[i].id; }
 
  private:
   struct Entry {

@@ -37,45 +37,38 @@ std::vector<Tri> all_x_wave(const Netlist& nl) {
 
 bool definite(Tri t) { return t != Tri::kX; }
 
-class ConstLock final : public DefenseBase {
+struct ConstOptions {
+  bool convert = true;
+  int inject = 8;
+};
+
+constexpr Knob<ConstOptions> kConstKnobs[] = {
+    {.name = "convert",
+     .doc = "rewrite statically-constant gates into key LUTs",
+     .field = &ConstOptions::convert},
+    {.name = "inject",
+     .doc = "key-fed XOR-with-0 constants to plant on live edges (clamped "
+            "to edge count)", .field = &ConstOptions::inject},
+};
+
+class ConstLock final : public TunedDefense<ConstOptions> {
  public:
-  std::string_view kind() const override { return "const"; }
-
-  std::string_view description() const override {
-    return "ASSURE-style constant locking (convert constant cones, inject "
-           "key-fed constants)";
-  }
-
-  std::vector<TuningKnob> knobs() const override {
-    return {{"convert", "1", "rewrite statically-constant gates into key LUTs"},
-            {"inject", "8", "key-fed XOR-with-0 constants to plant on live "
-                            "edges (clamped to edge count)"}};
-  }
+  ConstLock()
+      : TunedDefense("const",
+                     "ASSURE-style constant locking (convert constant "
+                     "cones, inject key-fed constants)",
+                     kConstKnobs) {}
 
   DefenseResult apply(const Netlist& original, const TechLibrary& lib,
                       const DefenseOptions& opt,
                       const Tuning& tuning) const override {
-    bool convert = true;
-    int inject = 8;
-    for (const auto& [k, v] : tuning) {
-      if (k == "convert") {
-        convert = (v == "1" || v == "true");
-      } else if (k == "inject") {
-        inject = parse_int(kind(), k, v);
-      } else {
-        bad_tuning(kind(), k);
-      }
-    }
-    if (inject < 0) {
-      throw std::invalid_argument(
-          "defense \"const\": inject must be non-negative");
-    }
+    const ConstOptions knobs = tuned(tuning);
 
     DefenseResult r;
     r.locked = strip_dead_logic(original);
 
-    if (convert) convert_constant_gates(r);
-    if (inject > 0) inject_constants(r, inject, opt.seed);
+    if (knobs.convert) convert_constant_gates(r);
+    if (knobs.inject > 0) inject_constants(r, knobs.inject, opt.seed);
     if (r.key.empty()) {
       throw std::invalid_argument(
           "defense \"const\": nothing to lock (no constant cones and "

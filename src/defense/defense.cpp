@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "core/similarity.hpp"
-#include "util/strings.hpp"
 
 namespace stt::defense {
 
@@ -42,39 +41,6 @@ std::string DefenseBase::unique_name(const Netlist& nl,
   for (int n = 2;; ++n) {
     const std::string candidate = base + "_" + std::to_string(n);
     if (free(candidate)) return candidate;
-  }
-}
-
-void DefenseBase::bad_tuning(std::string_view kind, const std::string& key) {
-  throw std::invalid_argument("defense registry: unknown tuning key \"" + key +
-                              "\" for defense \"" + std::string(kind) + "\"");
-}
-
-int DefenseBase::parse_int(std::string_view kind, const std::string& key,
-                           const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const int v = std::stoi(value, &used);
-    if (used != value.size()) throw std::invalid_argument(value);
-    return v;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("defense \"" + std::string(kind) +
-                                "\": tuning key \"" + key +
-                                "\" needs an integer, got \"" + value + "\"");
-  }
-}
-
-double DefenseBase::parse_double(std::string_view kind, const std::string& key,
-                                 const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(value, &used);
-    if (used != value.size()) throw std::invalid_argument(value);
-    return v;
-  } catch (const std::exception&) {
-    throw std::invalid_argument("defense \"" + std::string(kind) +
-                                "\": tuning key \"" + key +
-                                "\" needs a number, got \"" + value + "\"");
   }
 }
 

@@ -20,15 +20,15 @@
 //   * an ASSURE-style locked constant lowers to a LUT whose configured
 //     function is constant.
 //
-// Per-defense knobs travel as (key, value) string pairs (`Tuning`), like
-// attack tuning; unknown keys throw std::invalid_argument so CLI typos
-// surface instead of silently running defaults.
+// Per-defense knobs travel as (key, value) string pairs (`Tuning`) through
+// the defense's knob table (util/knob.hpp): an unknown key or a bad value
+// throws std::invalid_argument instead of silently running defaults.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "core/hybrid.hpp"
@@ -37,6 +37,7 @@
 #include "core/selection.hpp"
 #include "netlist/netlist.hpp"
 #include "tech/tech_library.hpp"
+#include "util/knob.hpp"
 #include "verify/annotations.hpp"
 
 namespace stt::defense {
@@ -44,14 +45,7 @@ namespace stt::defense {
 /// Defense-specific knobs as (key, value) strings, e.g.
 /// {{"count", "16"}, {"xnor", "0.25"}}. An empty tuning runs the defense's
 /// documented defaults.
-using Tuning = std::vector<std::pair<std::string, std::string>>;
-
-/// Catalogue entry for one knob, surfaced by `sttlock defend --list`.
-struct TuningKnob {
-  std::string key;
-  std::string default_value;
-  std::string help;
-};
+using Tuning = stt::Tuning;
 
 /// Options shared by every defense (defense-specific knobs go in Tuning).
 struct DefenseOptions {
@@ -90,10 +84,14 @@ class DefenseBase {
 
   virtual std::string_view kind() const = 0;
   virtual std::string_view description() const = 0;
-  virtual std::vector<TuningKnob> knobs() const = 0;
+  /// The knob table as `sttlock defend --list` prints it.
+  virtual std::vector<KnobDoc> knobs() const = 0;
+  /// Applies `tuning` to the defaults without locking anything: throws
+  /// std::invalid_argument for an unknown key or an out-of-range value.
+  virtual void check(const Tuning& tuning) const = 0;
 
   /// Apply the defense to a copy of `original` (left untouched). Throws
-  /// std::invalid_argument for an unknown tuning key or an unlockable
+  /// std::invalid_argument for a tuning `check` rejects or an unlockable
   /// netlist; the campaign retries with the next attempt's seed.
   virtual DefenseResult apply(const Netlist& original, const TechLibrary& lib,
                               const DefenseOptions& opt,
@@ -114,16 +112,33 @@ class DefenseBase {
   /// are companion names ("_q", "_inv", ...) that must stay free too.
   static std::string unique_name(const Netlist& nl, const std::string& base,
                                  const std::vector<std::string>& suffixes = {});
+};
 
-  [[noreturn]] static void bad_tuning(std::string_view kind,
-                                      const std::string& key);
+/// A defense declared as data: its kind, description and one knob table
+/// over the options struct `Opts`.
+template <class Opts>
+class TunedDefense : public DefenseBase {
+ public:
+  TunedDefense(std::string_view kind, std::string_view description,
+               std::span<const Knob<Opts>> knobs)
+      : kind_(kind), description_(description), knobs_(knobs) {}
 
-  /// Strict numeric parses for tuning values; throw std::invalid_argument
-  /// naming the kind and key on garbage input.
-  static int parse_int(std::string_view kind, const std::string& key,
-                       const std::string& value);
-  static double parse_double(std::string_view kind, const std::string& key,
-                             const std::string& value);
+  std::string_view kind() const final { return kind_; }
+  std::string_view description() const final { return description_; }
+  std::vector<KnobDoc> knobs() const final { return knob_docs(knobs_); }
+  void check(const Tuning& tuning) const final { (void)tuned(tuning); }
+
+ protected:
+  /// `Opts{}` with `tuning` applied through the table.
+  Opts tuned(const Tuning& tuning) const {
+    Opts opts;
+    apply_tuning(knobs_, opts, tuning, "defense", kind());
+    return opts;
+  }
+
+ private:
+  std::string_view kind_, description_;
+  std::span<const Knob<Opts>> knobs_;
 };
 
 }  // namespace stt::defense

@@ -26,32 +26,27 @@ namespace {
 /// (transparent) and f(a, b) = b is rows {2, 3} = 0xC (latched).
 constexpr std::uint64_t kSelectData = 0xA;
 
-class LatchLock final : public DefenseBase {
+struct LatchOptions {
+  int count = 8;
+};
+
+constexpr Knob<LatchOptions> kLatchKnobs[] = {
+    {.name = "count", .doc = "decoy latches to insert (clamped to edge count)",
+     .field = &LatchOptions::count, .min = 1},
+};
+
+class LatchLock final : public TunedDefense<LatchOptions> {
  public:
-  std::string_view kind() const override { return "latch"; }
-
-  std::string_view description() const override {
-    return "decoy-latch insertion on timing-path edges (latch-based locking)";
-  }
-
-  std::vector<TuningKnob> knobs() const override {
-    return {{"count", "8", "decoy latches to insert (clamped to edge count)"}};
-  }
+  LatchLock()
+      : TunedDefense("latch",
+                     "decoy-latch insertion on timing-path edges "
+                     "(latch-based locking)",
+                     kLatchKnobs) {}
 
   DefenseResult apply(const Netlist& original, const TechLibrary& lib,
                       const DefenseOptions& opt,
                       const Tuning& tuning) const override {
-    int count = 8;
-    for (const auto& [k, v] : tuning) {
-      if (k == "count") {
-        count = parse_int(kind(), k, v);
-      } else {
-        bad_tuning(kind(), k);
-      }
-    }
-    if (count <= 0) {
-      throw std::invalid_argument("defense \"latch\": count must be positive");
-    }
+    const int count = tuned(tuning).count;
 
     DefenseResult r;
     r.locked = original;

@@ -15,68 +15,42 @@ namespace stt::defense {
 
 namespace {
 
-class PaperDefense final : public DefenseBase {
+constexpr Knob<SelectionOptions> kIndependentKnobs[] = {
+    {.name = "count", .doc = "number of gates to replace",
+     .field = &SelectionOptions::indep_count, .min = 1},
+};
+
+constexpr Knob<SelectionOptions> kDependentKnobs[] = {
+    {.name = "paths", .doc = "longest I/O paths fully replaced",
+     .field = &SelectionOptions::dep_num_paths, .min = 1},
+};
+
+constexpr Knob<SelectionOptions> kParametricKnobs[] = {
+    {.name = "paths", .doc = "timing paths to draw from (0 = auto-scale)",
+     .field = &SelectionOptions::para_num_paths},
+    {.name = "fraction", .doc = "per-path gate selection fraction",
+     .field = &SelectionOptions::para_gate_fraction, .max = 1,
+     .min_open = true},
+    {.name = "retries", .doc = "timing-violation re-draws per path",
+     .field = &SelectionOptions::para_max_retries},
+};
+
+class PaperDefense final : public TunedDefense<SelectionOptions> {
  public:
-  explicit PaperDefense(SelectionAlgorithm alg) : alg_(alg) {}
-
-  std::string_view kind() const override {
-    switch (alg_) {
-      case SelectionAlgorithm::kIndependent: return "independent";
-      case SelectionAlgorithm::kDependent: return "dependent";
-      case SelectionAlgorithm::kParametric: return "parametric";
-    }
-    return "parametric";
-  }
-
-  std::string_view description() const override {
-    switch (alg_) {
-      case SelectionAlgorithm::kIndependent:
-        return "paper IV-A.1: random independent STT-LUT replacement";
-      case SelectionAlgorithm::kDependent:
-        return "paper IV-A.2: full timing-path dependent replacement";
-      case SelectionAlgorithm::kParametric:
-        return "paper IV-A.3: parametric-aware dependent replacement";
-    }
-    return "";
-  }
-
-  std::vector<TuningKnob> knobs() const override {
-    switch (alg_) {
-      case SelectionAlgorithm::kIndependent:
-        return {{"count", "5", "number of gates to replace"}};
-      case SelectionAlgorithm::kDependent:
-        return {{"paths", "1", "longest I/O paths fully replaced"}};
-      case SelectionAlgorithm::kParametric:
-        return {{"paths", "0", "timing paths to draw from (0 = auto-scale)"},
-                {"fraction", "0.35", "per-path gate selection fraction"},
-                {"retries", "30", "timing-violation re-draws per path"}};
-    }
-    return {};
-  }
+  PaperDefense(SelectionAlgorithm alg, std::string_view kind,
+               std::string_view description,
+               std::span<const Knob<SelectionOptions>> knobs)
+      : TunedDefense(kind, description, knobs), alg_(alg) {}
 
   DefenseResult apply(const Netlist& original, const TechLibrary& lib,
                       const DefenseOptions& opt,
                       const Tuning& tuning) const override {
     FlowOptions fo;
     fo.algorithm = alg_;
+    fo.selection = tuned(tuning);
     fo.selection.seed = opt.seed;
     fo.selection.timing_margin = opt.timing_margin;
     fo.activity = opt.activity;
-    for (const auto& [k, v] : tuning) {
-      if (alg_ == SelectionAlgorithm::kIndependent && k == "count") {
-        fo.selection.indep_count = parse_int(kind(), k, v);
-      } else if (alg_ == SelectionAlgorithm::kDependent && k == "paths") {
-        fo.selection.dep_num_paths = parse_int(kind(), k, v);
-      } else if (alg_ == SelectionAlgorithm::kParametric && k == "paths") {
-        fo.selection.para_num_paths = parse_int(kind(), k, v);
-      } else if (alg_ == SelectionAlgorithm::kParametric && k == "fraction") {
-        fo.selection.para_gate_fraction = parse_double(kind(), k, v);
-      } else if (alg_ == SelectionAlgorithm::kParametric && k == "retries") {
-        fo.selection.para_max_retries = parse_int(kind(), k, v);
-      } else {
-        bad_tuning(kind(), k);
-      }
-    }
 
     FlowResult flow = run_secure_flow(original, lib, fo);
     DefenseResult r;
@@ -103,7 +77,24 @@ class PaperDefense final : public DefenseBase {
 }  // namespace
 
 std::unique_ptr<DefenseBase> make_paper_defense(SelectionAlgorithm alg) {
-  return std::make_unique<PaperDefense>(alg);
+  switch (alg) {
+    case SelectionAlgorithm::kIndependent:
+      return std::make_unique<PaperDefense>(
+          alg, "independent",
+          "paper IV-A.1: random independent STT-LUT replacement",
+          kIndependentKnobs);
+    case SelectionAlgorithm::kDependent:
+      return std::make_unique<PaperDefense>(
+          alg, "dependent",
+          "paper IV-A.2: full timing-path dependent replacement",
+          kDependentKnobs);
+    case SelectionAlgorithm::kParametric:
+      break;
+  }
+  return std::make_unique<PaperDefense>(
+      alg, "parametric",
+      "paper IV-A.3: parametric-aware dependent replacement",
+      kParametricKnobs);
 }
 
 }  // namespace stt::defense

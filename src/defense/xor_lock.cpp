@@ -20,36 +20,30 @@ namespace {
 constexpr std::uint64_t kLut1Buf = 0b10;
 constexpr std::uint64_t kLut1Not = 0b01;
 
-class XorLock final : public DefenseBase {
+struct XorOptions {
+  int count = 16;
+  double xnor = 0.5;
+};
+
+constexpr Knob<XorOptions> kXorKnobs[] = {
+    {.name = "count", .doc = "key gates to insert (clamped to edge count)",
+     .field = &XorOptions::count, .min = 1},
+    {.name = "xnor", .doc = "fraction of gates using the XNOR flavour",
+     .field = &XorOptions::xnor, .max = 1},
+};
+
+class XorLock final : public TunedDefense<XorOptions> {
  public:
-  std::string_view kind() const override { return "xor"; }
-
-  std::string_view description() const override {
-    return "random XOR/XNOR key-gate insertion (EPIC-style baseline)";
-  }
-
-  std::vector<TuningKnob> knobs() const override {
-    return {{"count", "16", "key gates to insert (clamped to edge count)"},
-            {"xnor", "0.5", "fraction of gates using the XNOR flavour"}};
-  }
+  XorLock()
+      : TunedDefense("xor",
+                     "random XOR/XNOR key-gate insertion (EPIC-style "
+                     "baseline)",
+                     kXorKnobs) {}
 
   DefenseResult apply(const Netlist& original, const TechLibrary& lib,
                       const DefenseOptions& opt,
                       const Tuning& tuning) const override {
-    int count = 16;
-    double xnor_fraction = 0.5;
-    for (const auto& [k, v] : tuning) {
-      if (k == "count") {
-        count = parse_int(kind(), k, v);
-      } else if (k == "xnor") {
-        xnor_fraction = parse_double(kind(), k, v);
-      } else {
-        bad_tuning(kind(), k);
-      }
-    }
-    if (count <= 0) {
-      throw std::invalid_argument("defense \"xor\": count must be positive");
-    }
+    const XorOptions knobs = tuned(tuning);
 
     DefenseResult r;
     r.locked = original;
@@ -74,7 +68,7 @@ class XorLock final : public DefenseBase {
 
     Rng rng(opt.seed);
     const std::vector<Site> chosen = rng.sample(
-        std::span<const Site>(sites), static_cast<std::size_t>(count));
+        std::span<const Site>(sites), static_cast<std::size_t>(knobs.count));
 
     int xnor_gates = 0;
     for (std::size_t i = 0; i < chosen.size(); ++i) {
@@ -82,7 +76,7 @@ class XorLock final : public DefenseBase {
       const CellId driver = work.cell(site.cell).fanins[site.slot];
       const std::string name =
           unique_name(work, "kg" + std::to_string(i), {"_inv"});
-      const bool xnor_flavour = rng.chance(xnor_fraction);
+      const bool xnor_flavour = rng.chance(knobs.xnor);
       CellId kg;
       if (xnor_flavour) {
         const CellId inv =

@@ -1,7 +1,6 @@
 #include "io/bench_io.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <climits>
 #include <fstream>
 #include <sstream>
@@ -45,15 +44,11 @@ CellKind parse_operator(std::string_view op, std::uint64_t& mask, int line) {
       mask = 0;
       return CellKind::kLut;
     }
-    std::string_view digits = arg;
-    if (istarts_with(digits, "0X")) digits = digits.substr(2);
-    std::uint64_t value = 0;
-    const auto [ptr, ec] =
-        std::from_chars(digits.data(), digits.data() + digits.size(), value, 16);
-    if (ec != std::errc() || ptr != digits.data() + digits.size()) {
+    const auto value = parse_hex(arg);
+    if (!value) {
       throw BenchParseError("bad LUT mask '" + std::string(op) + "'", line);
     }
-    mask = value;
+    mask = *value;
     return CellKind::kLut;
   }
   const auto kind = kind_from_name(op);

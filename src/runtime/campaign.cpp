@@ -167,6 +167,13 @@ struct GroupAssets {
 
 }  // namespace
 
+void check_defense_axis(const std::vector<DefenseAxis>& axes) {
+  // at() names an unknown kind and lists the registered ones.
+  for (const DefenseAxis& axis : axes) {
+    defense::registry().at(axis.kind).check(axis.tuning);
+  }
+}
+
 CampaignReport run_campaign(const CampaignSpec& spec) {
   CampaignReport report;
   report.benchmarks = spec.benchmarks;
@@ -186,31 +193,10 @@ CampaignReport run_campaign(const CampaignSpec& spec) {
   report.trials = spec.trials;
   report.master_seed = spec.master_seed;
 
-  // Validate the defense axis up front so a typo in a kind or tuning key
-  // fails the whole campaign before any job starts.
+  // Validate the defense axis up front so a typo in a kind, a tuning key
+  // or a tuning value fails the whole campaign before any job starts.
   report.defenses = spec.defenses;
-  for (const DefenseAxis& axis : report.defenses) {
-    if (!defense::registry().contains(axis.kind)) {
-      std::string known;
-      for (const std::string& name : defense::registry().names()) {
-        known += known.empty() ? name : "|" + name;
-      }
-      throw std::invalid_argument("unknown campaign defense '" + axis.kind +
-                                  "' (expected " + known + ")");
-    }
-    const defense::DefenseBase& d = defense::registry().at(axis.kind);
-    for (const auto& [key, value] : axis.tuning) {
-      bool known_key = false;
-      for (const defense::TuningKnob& knob : d.knobs()) {
-        if (knob.key == key) known_key = true;
-      }
-      if (!known_key) {
-        throw std::invalid_argument("unknown tuning key '" + key +
-                                    "' for campaign defense '" + axis.kind +
-                                    "'");
-      }
-    }
-  }
+  check_defense_axis(report.defenses);
 
   // Validate the attack axis the same way.
   report.attacks = spec.attacks;

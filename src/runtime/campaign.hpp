@@ -166,10 +166,14 @@ RetryOutcome run_with_seed_backoff(
     int max_attempts, const std::function<std::uint64_t(int)>& seed_for,
     const std::function<void(std::uint64_t seed, int attempt)>& body);
 
+/// Checks each defense axis point's kind, tuning keys and values against the
+/// knob tables; std::invalid_argument names the first bad one.
+void check_defense_axis(const std::vector<DefenseAxis>& axes);
+
 /// Expand the grid, run it, aggregate. Throws std::invalid_argument before
-/// any job starts on an unknown benchmark name, an unknown defense kind or
-/// tuning key, an unknown attack name, or an empty grid (no defense, attack
-/// or trial) — the message lists the valid kinds.
+/// any job starts on an unknown benchmark name, a defense axis point that
+/// check_defense_axis rejects, an unknown attack name, or an empty grid (no
+/// defense, attack or trial) — the message lists the valid kinds.
 CampaignReport run_campaign(const CampaignSpec& spec);
 
 }  // namespace stt

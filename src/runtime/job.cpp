@@ -8,24 +8,6 @@
 
 namespace stt {
 
-std::string job_state_name(JobState state) {
-  switch (state) {
-    case JobState::kPending:
-      return "pending";
-    case JobState::kReady:
-      return "ready";
-    case JobState::kRunning:
-      return "running";
-    case JobState::kSucceeded:
-      return "succeeded";
-    case JobState::kFailed:
-      return "failed";
-    case JobState::kCancelled:
-      return "cancelled";
-  }
-  return "?";
-}
-
 bool JobContext::cancelled() const { return graph_->is_cancel_requested(id_); }
 
 JobId JobGraph::add(std::string name, Body body,

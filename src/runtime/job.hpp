@@ -40,8 +40,6 @@ enum class JobState {
   kCancelled,  ///< cancelled before running
 };
 
-std::string job_state_name(JobState state);
-
 class JobGraph;
 
 /// Handed to every job body; exposes the cooperative cancellation flag.

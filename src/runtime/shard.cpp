@@ -1,5 +1,7 @@
 #include "runtime/shard.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <map>
 #include <stdexcept>
 #include <utility>
@@ -10,26 +12,19 @@
 namespace stt {
 
 ShardSpec parse_shard(const std::string& text) {
-  const std::size_t slash = text.find('/');
-  ShardSpec spec;
-  try {
-    if (slash == std::string::npos || slash == 0 ||
-        slash + 1 >= text.size()) {
-      throw std::invalid_argument("");
-    }
-    std::size_t used_i = 0;
-    std::size_t used_n = 0;
-    const std::string i_text = text.substr(0, slash);
-    const std::string n_text = text.substr(slash + 1);
-    spec.index = static_cast<unsigned>(std::stoul(i_text, &used_i));
-    spec.count = static_cast<unsigned>(std::stoul(n_text, &used_n));
-    if (used_i != i_text.size() || used_n != n_text.size()) {
-      throw std::invalid_argument("");
-    }
-  } catch (const std::exception&) {
+  // With no '/', the count is the empty tail and fails to parse.
+  const std::string_view s(text);
+  const std::size_t slash = std::min(s.find('/'), s.size());
+  constexpr std::int64_t kMax = std::numeric_limits<unsigned>::max();
+  const auto index = parse_int(s.substr(0, slash), 0, kMax);
+  const auto count =
+      parse_int(s.substr(std::min(slash + 1, s.size())), 0, kMax);
+  if (!index || !count) {
     throw std::invalid_argument("bad shard '" + text +
                                 "' (expected i/N, e.g. 2/4)");
   }
+  const ShardSpec spec{static_cast<unsigned>(*index),
+                       static_cast<unsigned>(*count)};
   if (spec.count < 1 || spec.index < 1 || spec.index > spec.count) {
     throw std::invalid_argument("bad shard '" + text +
                                 "': index must satisfy 1 <= i <= N");

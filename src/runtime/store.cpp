@@ -6,7 +6,6 @@
 
 #include <array>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 
@@ -368,8 +367,8 @@ std::unique_ptr<ResultStore> ResultStore::open_impl(
   if (read_only) {
     ::close(store->fd_);
     store->fd_ = -1;
-  } else if (const char* knob = std::getenv("STTLOCK_STORE_CRASH_AFTER")) {
-    store->crash_after_ = std::strtol(knob, nullptr, 10);
+  } else if (const auto n = env_int("STTLOCK_STORE_CRASH_AFTER")) {
+    store->crash_after_ = static_cast<long>(*n);
   }
   return store;
 }

@@ -2,11 +2,11 @@
 
 #include <array>
 #include <atomic>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
 #include "obs/obs.hpp"
+#include "util/strings.hpp"
 
 namespace stt {
 
@@ -55,12 +55,8 @@ void count_words(SimIsa isa, std::size_t n) {
 /// STTLOCK_SIM_BLOCK environment variable; set_batch_block_override takes
 /// precedence afterwards.
 std::atomic<std::size_t>& block_override_slot() {
-  static std::atomic<std::size_t> slot{[] {
-    const char* e = std::getenv("STTLOCK_SIM_BLOCK");
-    return e != nullptr && *e != '\0'
-               ? static_cast<std::size_t>(std::strtoull(e, nullptr, 10))
-               : std::size_t{0};
-  }()};
+  static std::atomic<std::size_t> slot{
+      static_cast<std::size_t>(env_int("STTLOCK_SIM_BLOCK").value_or(0))};
   return slot;
 }
 

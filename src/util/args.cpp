@@ -73,29 +73,27 @@ std::string ArgParser::get_or(const std::string& name,
   return has(name) ? get(name) : fallback;
 }
 
-std::int64_t ArgParser::get_int(const std::string& name) const {
+std::int64_t ArgParser::get_int(const std::string& name, std::int64_t min,
+                                std::int64_t max) const {
   const std::string v = get(name);
-  try {
-    std::size_t pos = 0;
-    const std::int64_t out = std::stoll(v, &pos);
-    if (pos != v.size()) throw std::invalid_argument(v);
-    return out;
-  } catch (const std::exception&) {
-    throw ArgError("option '" + name + "' expects an integer, got '" + v +
-                   "'");
-  }
+  if (const auto out = parse_int(v, min, max)) return *out;
+  using L = std::numeric_limits<std::int64_t>;
+  const std::string range =
+      max != L::max()   ? strformat(" in [%ld, %ld]", min, max)
+      : min != L::min() ? strformat(" >= %ld", min)
+                        : "";
+  throw ArgError("option '" + name + "' expects an integer" + range +
+                 ", got '" + v + "'");
 }
 
-double ArgParser::get_double(const std::string& name) const {
+double ArgParser::get_double(const std::string& name, double min) const {
   const std::string v = get(name);
-  try {
-    std::size_t pos = 0;
-    const double out = std::stod(v, &pos);
-    if (pos != v.size()) throw std::invalid_argument(v);
-    return out;
-  } catch (const std::exception&) {
-    throw ArgError("option '" + name + "' expects a number, got '" + v + "'");
-  }
+  if (const auto out = parse_real(v, min)) return *out;
+  const std::string range =
+      min > std::numeric_limits<double>::lowest() ? strformat(" >= %g", min)
+                                                  : "";
+  throw ArgError("option '" + name + "' expects a finite number" + range +
+                 ", got '" + v + "'");
 }
 
 bool ArgParser::flag(const std::string& name) const {

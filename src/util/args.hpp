@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <stdexcept>
@@ -43,8 +44,15 @@ class ArgParser {
   bool has(const std::string& name) const;
   std::string get(const std::string& name) const;
   std::string get_or(const std::string& name, const std::string& fallback) const;
-  std::int64_t get_int(const std::string& name) const;
-  double get_double(const std::string& name) const;
+  /// Numeric values go through the strict parsers of util/strings.hpp: a
+  /// value that is not a whole number, is not finite, or lies outside its
+  /// bounds throws ArgError naming the option and the value.
+  std::int64_t get_int(
+      const std::string& name,
+      std::int64_t min = std::numeric_limits<std::int64_t>::min(),
+      std::int64_t max = std::numeric_limits<std::int64_t>::max()) const;
+  double get_double(const std::string& name,
+                    double min = std::numeric_limits<double>::lowest()) const;
   bool flag(const std::string& name) const;
 
   const std::vector<std::string>& positional() const { return positional_; }

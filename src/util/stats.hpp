@@ -32,26 +32,6 @@ class Accumulator {
   }
   double stddev() const { return std::sqrt(variance()); }
 
-  /// Fold another accumulator into this one (Chan et al.'s parallel
-  /// variance combination), so per-thread accumulators can be reduced
-  /// after a parallel campaign without losing the exact mean/variance.
-  void merge(const Accumulator& other) {
-    if (other.n_ == 0) return;
-    if (n_ == 0) {
-      *this = other;
-      return;
-    }
-    const double total = static_cast<double>(n_ + other.n_);
-    const double delta = other.mean_ - mean_;
-    m2_ += other.m2_ + delta * delta * static_cast<double>(n_) *
-                           static_cast<double>(other.n_) / total;
-    mean_ += delta * static_cast<double>(other.n_) / total;
-    n_ += other.n_;
-    sum_ += other.sum_;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;

@@ -1,8 +1,12 @@
 #include "util/strings.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
+#include <stdexcept>
 
 namespace stt {
 
@@ -103,6 +107,47 @@ std::string json_escape(std::string_view s) {
     }
   }
   return out;
+}
+
+namespace {
+
+/// from_chars over the whole of `s`; nullopt on any leftover text.
+template <typename T, typename... Base>
+std::optional<T> whole(std::string_view s, Base... base) {
+  T v{};
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v, base...);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return v;
+}
+
+}  // namespace
+
+std::optional<std::int64_t> parse_int(std::string_view s, std::int64_t min,
+                                      std::int64_t max) {
+  const auto v = whole<std::int64_t>(s);
+  if (!v || *v < min || *v > max) return std::nullopt;
+  return v;
+}
+
+std::optional<double> parse_real(std::string_view s, double min,
+                                 double max) {
+  const auto v = whole<double>(s);
+  if (!v || !std::isfinite(*v) || *v < min || *v > max) return std::nullopt;
+  return v;
+}
+
+std::optional<std::uint64_t> parse_hex(std::string_view s) {
+  if (starts_with(s, "0x") || starts_with(s, "0X")) s.remove_prefix(2);
+  return whole<std::uint64_t>(s, 16);
+}
+
+std::optional<std::int64_t> env_int(const char* name) {
+  const char* text = std::getenv(name);
+  if (text == nullptr || *text == '\0') return std::nullopt;
+  if (const auto v = parse_int(text, 0)) return v;
+  throw std::invalid_argument(std::string(name) +
+                              " expects an integer >= 0, got '" + text + "'");
 }
 
 std::string strformat(const char* fmt, ...) {

@@ -1,6 +1,9 @@
 // Small string helpers shared by the parsers and report writers.
 #pragma once
 
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,6 +39,23 @@ bool iequals(std::string_view a, std::string_view b);
 /// Escape `s` for a JSON string literal: quote, backslash, \n and \t get
 /// their short escapes, other control characters \u00XX.
 std::string json_escape(std::string_view s);
+
+/// The strict text-to-number parses behind every numeric input. The whole
+/// string must be the number: a leading space or '+', trailing text, NaN,
+/// infinity or a value outside [min, max] yields nullopt, and the caller
+/// names the input in its error.
+std::optional<std::int64_t> parse_int(
+    std::string_view s,
+    std::int64_t min = std::numeric_limits<std::int64_t>::min(),
+    std::int64_t max = std::numeric_limits<std::int64_t>::max());
+std::optional<double> parse_real(
+    std::string_view s, double min = -std::numeric_limits<double>::max(),
+    double max = std::numeric_limits<double>::max());
+/// Unsigned hexadecimal, with or without a "0x"/"0X" prefix.
+std::optional<std::uint64_t> parse_hex(std::string_view s);
+/// Environment variable `name` as an integer >= 0; nullopt when unset or
+/// empty, std::invalid_argument naming the variable for any other text.
+std::optional<std::int64_t> env_int(const char* name);
 
 /// printf-style formatting into a std::string.
 std::string strformat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

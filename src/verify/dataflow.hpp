@@ -38,10 +38,6 @@ struct SupportFunction {
   bool depends_on(CellId v) const;
   /// Drop variables the mask does not depend on; keeps the form canonical.
   void normalize();
-
-  friend bool operator==(const SupportFunction& a, const SupportFunction& b) {
-    return a.vars == b.vars && a.mask == b.mask;
-  }
 };
 
 /// Cells re-introduced as fresh cut variables because their support

@@ -46,74 +46,6 @@ std::string_view rule_id(LintRule rule) {
   return "???";
 }
 
-std::string_view rule_summary(LintRule rule) {
-  switch (rule) {
-    case LintRule::kCombinationalCycle:
-      return "cell lies on a combinational cycle";
-    case LintRule::kUnresolvedFanin:
-      return "fan-in slot references no cell";
-    case LintRule::kArityMismatch:
-      return "fan-in count is illegal for the cell kind";
-    case LintRule::kFanoutDesync:
-      return "fanout list disagrees with fan-in lists";
-    case LintRule::kNoPrimaryOutputs:
-      return "netlist declares no primary outputs";
-    case LintRule::kConstantOutput:
-      return "primary output driven by a constant";
-    case LintRule::kDeadGate:
-      return "gate drives nothing (no reader, not an output)";
-    case LintRule::kDuplicateFanin:
-      return "same driver wired to multiple fan-in slots";
-    case LintRule::kLutMaskWidth:
-      return "LUT mask has bits beyond its 2^k truth-table rows";
-    case LintRule::kSingleInputLut:
-      return "single-input missing gate (candidate set is only BUF/NOT)";
-    case LintRule::kCamouflagedCmos:
-      return "cell declared camouflaged but still a plain CMOS gate";
-    case LintRule::kCamouflageMask:
-      return "camouflaged cell configured outside the camouflage set";
-    case LintRule::kKeyGate:
-      return "cell declared a key gate but is not a BUF/NOT-configured "
-             "1-input LUT";
-    case LintRule::kDecoyLatch:
-      return "cell declared a decoy latch but is not a transparent LUT mux "
-             "over a decoy flip-flop";
-    case LintRule::kLockedConstant:
-      return "cell declared a locked constant but is not a "
-             "constant-configured LUT";
-    case LintRule::kConstantFedLut:
-      return "missing-gate input tied to a static constant";
-    case LintRule::kInferableLut:
-      return "missing gate's function statically inferable (constant output)";
-    case LintRule::kVacuousLutInput:
-      return "missing gate's function ignores one of its inputs";
-    case LintRule::kResolvableLut:
-      return "missing gate trivially controllable/observable (SCOAP)";
-    case LintRule::kMaskedLut:
-      return "missing-gate output statically blocked from every observation "
-             "point";
-    case LintRule::kAuditSkipped:
-      return "security audit skipped (structural errors present)";
-    case LintRule::kKeyConstant:
-      return "key cell unit-propagates to a constant (zero-query recovery)";
-    case LintRule::kKeyRemovable:
-      return "key cell statically blocked from every observation point";
-    case LintRule::kKeyMutable:
-      return "key construct interferes with no other key cell (mutable)";
-    case LintRule::kKeyChain:
-      return "series key-gate chain collapses to one composite bit";
-    case LintRule::kKeyPairwise:
-      return "key construct pairwise-interferes with another key cell";
-    case LintRule::kKeyDeadRows:
-      return "key cell's unreachable truth-table rows carry no entropy";
-    case LintRule::kKeySpace:
-      return "effective key space below the nominal key bits";
-    case LintRule::kKeyVacuous:
-      return "key cell absent from every observation support function";
-  }
-  return "";
-}
-
 LintSeverity rule_severity(LintRule rule) {
   switch (rule) {
     case LintRule::kCombinationalCycle:

@@ -63,9 +63,6 @@ enum class LintRule {
 /// Stable identifier, e.g. "STR001".
 std::string_view rule_id(LintRule rule);
 
-/// One-line rule description (rule catalogue text, not per-finding).
-std::string_view rule_summary(LintRule rule);
-
 /// Default severity of a rule. A few findings are emitted one notch above
 /// their default (documented at the emission site, e.g. a *dead* missing
 /// gate is an error while a dead CMOS gate is a warning).

@@ -153,8 +153,8 @@ TEST(AttackRegistry, CatalogueDefaultsMatchOptions) {
   std::map<std::string, Knobs> listed;
   for (const attack::AttackInfo& info : attack::registry().catalogue()) {
     Knobs& knobs = listed[info.name];
-    for (const attack::AttackKnob& knob : info.knobs) {
-      knobs[knob.key] = knob.default_value;
+    for (const KnobDoc& knob : info.knobs) {
+      knobs[knob.name] = knob.default_value;
     }
   }
   EXPECT_EQ(listed, expected);

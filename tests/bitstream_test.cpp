@@ -4,6 +4,7 @@
 #include "core/bitstream.hpp"
 #include "core/selection.hpp"
 #include "synth/generator.hpp"
+#include "util/strings.hpp"
 
 namespace stt {
 namespace {
@@ -71,6 +72,45 @@ TEST(Bitstream, MalformedImagesRejected) {
   const std::string image = write_bitstream(locked_s27());
   // Truncate the body: CRC must fail.
   EXPECT_THROW(read_bitstream(image.substr(4)), BitstreamError);
+}
+
+TEST(Bitstream, MalformedFieldsAreNamedErrors) {
+  const std::string image = write_bitstream(locked_s27());
+  const std::string body = image.substr(0, image.rfind("crc "));
+  // A body edit with a valid CRC reaches the field parsers.
+  const auto resealed = [](const std::string& b) {
+    return b + strformat("crc %08x\n", crc32(b));
+  };
+  const auto replace = [&](const std::string& from, const std::string& to) {
+    std::string b = body;
+    const auto pos = b.find(from);
+    EXPECT_NE(pos, std::string::npos) << from;
+    return resealed(b.replace(pos, from.size(), to));
+  };
+  const std::string lut = body.substr(body.find("lut G12"));
+  const std::string lut_line = lut.substr(0, lut.find('\n'));
+  const std::string head = lut_line.substr(0, lut_line.rfind(' ') + 1);
+  const std::string mask = lut_line.substr(head.size());
+  const std::string cases[] = {
+      body + "crc zz\n",                       // CRC field
+      body + "crc 1ffffffff\n",                // CRC wider than 32 bits
+      replace(lut_line, head + "zz"),           // mask
+      replace(lut_line, head + mask + "garbage"),
+      replace(lut_line, head + "10000000000000000"),  // mask overflow
+      replace(lut_line, "lut G12 x " + mask),   // fan-in
+      replace("records 2", "records -2"),
+      replace("records 2", "records 99999999999999999999"),
+  };
+  for (const std::string& bad : cases) {
+    try {
+      read_bitstream(bad);
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const BitstreamError& e) {
+      EXPECT_EQ(std::string(e.what()).find("sto"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(read_bitstream(resealed(body)), read_bitstream(image));
 }
 
 TEST(Bitstream, FullFlowArtifact) {

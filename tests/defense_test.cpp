@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -112,11 +114,41 @@ TEST(DefenseRegistry, EveryKindHasDescriptionAndKnobs) {
     const defense::DefenseBase& d = defense::registry().at(kind);
     EXPECT_EQ(d.kind(), kind);
     EXPECT_FALSE(d.description().empty()) << kind;
-    for (const defense::TuningKnob& knob : d.knobs()) {
-      EXPECT_FALSE(knob.key.empty()) << kind;
-      EXPECT_FALSE(knob.help.empty()) << kind;
+    for (const KnobDoc& knob : d.knobs()) {
+      EXPECT_FALSE(knob.name.empty()) << kind;
+      EXPECT_FALSE(knob.doc.empty()) << kind;
     }
   }
+}
+
+TEST(DefenseRegistry, CatalogueDefaultsMatchOptions) {
+  using Knobs = std::map<std::string, std::string>;
+  const auto num = [](auto v) {
+    std::ostringstream os;
+    os << v;
+    return os.str();
+  };
+  const SelectionOptions sel;
+  // The related-work defenses keep their options private to the adapter;
+  // these are their documented defaults.
+  const std::map<std::string, Knobs> expected = {
+      {"independent", {{"count", num(sel.indep_count)}}},
+      {"dependent", {{"paths", num(sel.dep_num_paths)}}},
+      {"parametric",
+       {{"paths", num(sel.para_num_paths)},
+        {"fraction", num(sel.para_gate_fraction)},
+        {"retries", num(sel.para_max_retries)}}},
+      {"xor", {{"count", "16"}, {"xnor", "0.5"}}},
+      {"latch", {{"count", "8"}}},
+      {"const", {{"convert", "1"}, {"inject", "8"}}}};
+  std::map<std::string, Knobs> listed;
+  for (const std::string& kind : defense::registry().names()) {
+    Knobs& knobs = listed[kind];
+    for (const KnobDoc& knob : defense::registry().at(kind).knobs()) {
+      knobs[knob.name] = knob.default_value;
+    }
+  }
+  EXPECT_EQ(listed, expected);
 }
 
 TEST(DefenseRegistry, UnknownKindThrowsWithKnownNames) {

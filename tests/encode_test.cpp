@@ -186,6 +186,24 @@ TEST(HybridKeys, SerializationRoundtrip) {
   EXPECT_EQ(back, key);
 }
 
+TEST(HybridKeys, KeyFileRejectsBadMasksByName) {
+  // Each was a raw `stoull` error or a silently truncated mask.
+  for (const char* line :
+       {"kg1 zz\n", "kg1 0x1garbage\n", "kg1 0x10000000000000000\n",
+        "kg1 -1\n", "kg1 +1\n"}) {
+    try {
+      key_from_string(line);
+      ADD_FAILURE() << line << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("kg1"), std::string::npos) << msg;
+      EXPECT_EQ(msg.find("sto"), std::string::npos) << msg;
+    }
+  }
+  EXPECT_EQ(key_from_string("kg1 0x1f\nkg2 A\n"),
+            (LutKey{{"kg1", 0x1f}, {"kg2", 0xa}}));
+}
+
 TEST(HybridKeys, ApplyValidates) {
   Netlist nl = embedded_netlist("s27");
   nl.replace_with_lut(nl.find("G9"));

@@ -16,7 +16,6 @@
 #include "runtime/job.hpp"
 #include "runtime/report.hpp"
 #include "runtime/thread_pool.hpp"
-#include "util/stats.hpp"
 #include "util/strings.hpp"
 
 namespace stt {
@@ -198,21 +197,6 @@ TEST(RetryTest, BoundedAttemptsRecordLastError) {
   EXPECT_EQ(outcome.error, "always");
 }
 
-TEST(AccumulatorTest, MergeMatchesSerialAccumulation) {
-  Accumulator serial, left, right;
-  for (int i = 0; i < 10; ++i) {
-    const double x = i * 1.5 - 3.0;
-    serial.add(x);
-    (i % 2 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), serial.count());
-  EXPECT_NEAR(left.mean(), serial.mean(), 1e-12);
-  EXPECT_NEAR(left.variance(), serial.variance(), 1e-12);
-  EXPECT_EQ(left.min(), serial.min());
-  EXPECT_EQ(left.max(), serial.max());
-}
-
 CampaignSpec small_spec(unsigned jobs) {
   CampaignSpec spec;
   spec.benchmarks = {"s641", "s820"};  // the two smallest Table I circuits
@@ -314,6 +298,25 @@ TEST(CampaignTest, DefenseAttackMatrixIsByteIdenticalAcrossJobs) {
   EXPECT_NE(csv.find("key_bits"), std::string::npos);
   EXPECT_NE(csv.find("count=4"), std::string::npos);
   EXPECT_NE(csv.find("latch"), std::string::npos);
+}
+
+TEST(CampaignTest, BadTuningValueFailsBeforeAnyJob) {
+  CampaignSpec spec = small_spec(1);
+  spec.defenses = {{"xor", {{"count", "abc"}}}};
+  std::size_t progressed = 0;
+  spec.on_progress = [&](std::size_t, std::size_t, const std::string&) {
+    ++progressed;
+  };
+  try {
+    run_campaign(spec);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("\"xor\""), std::string::npos) << msg;
+    EXPECT_NE(msg.find("\"count\""), std::string::npos) << msg;
+    EXPECT_NE(msg.find("\"abc\""), std::string::npos) << msg;
+  }
+  EXPECT_EQ(progressed, 0u);
 }
 
 TEST(CampaignTest, UnknownDefenseAttackOrTuningThrowsWithKnownKinds) {

@@ -218,6 +218,41 @@ TEST(Strings, Format) {
 
 // -------------------------------------------------------------- table ----
 
+TEST(Strings, StrictIntParse) {
+  EXPECT_EQ(parse_int("42"), 42);
+  EXPECT_EQ(parse_int("-7"), -7);
+  EXPECT_EQ(parse_int("0", 0, 0), 0);
+  for (const char* bad : {"", " 5", "5 ", "+5", "0x10", "1e3", "2.5", "nan",
+                          "inf", "abc", "12x", "99999999999999999999"}) {
+    EXPECT_FALSE(parse_int(bad)) << '"' << bad << '"';
+  }
+  EXPECT_FALSE(parse_int("-1", 0));
+  EXPECT_FALSE(parse_int("9", 0, 8));
+  EXPECT_EQ(parse_int("8", 0, 8), 8);
+}
+
+TEST(Strings, StrictRealParse) {
+  EXPECT_EQ(parse_real("0.35"), 0.35);
+  EXPECT_EQ(parse_real("-2"), -2.0);
+  EXPECT_EQ(parse_real("1e3"), 1000.0);
+  for (const char* bad : {"", " 5", "+5", "0x10", "1e999", "nan", "NaN",
+                          "inf", "-inf", "infinity", "1fJ", "."}) {
+    EXPECT_FALSE(parse_real(bad)) << '"' << bad << '"';
+  }
+  EXPECT_FALSE(parse_real("-0.5", 0));
+  EXPECT_FALSE(parse_real("1.5", 0, 1));
+}
+
+TEST(Strings, StrictHexParse) {
+  EXPECT_EQ(parse_hex("ff"), 0xffu);
+  EXPECT_EQ(parse_hex("0x1F"), 0x1fu);
+  EXPECT_EQ(parse_hex("0XfFfFfFfFfFfFfFfF"), ~0ull);
+  for (const char* bad : {"", "0x", "zz", "0x1garbage", " 1", "+1", "-1",
+                          "0x-1", "0x0x1", "10000000000000000"}) {
+    EXPECT_FALSE(parse_hex(bad)) << '"' << bad << '"';
+  }
+}
+
 TEST(TextTable, RendersAlignedColumns) {
   TextTable t({"Circuit", "Value"});
   t.add_row({"s641", "11.14"});

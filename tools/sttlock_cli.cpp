@@ -42,6 +42,7 @@
 //   sttlock <command> --help          (the command's options)
 //
 // Netlist files are read by extension as well.
+#include <climits>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -118,24 +119,23 @@ void save_netlist(const Netlist& nl, const std::string& path,
 }
 
 
+/// Writes `text` to stdout; the exit code.
+int print(const std::string& text) {
+  return std::fputs(text.c_str(), stdout) < 0 ? 1 : 0;
+}
+
 int cmd_gen(const std::vector<std::string>& args) {
   ArgParser p;
   p.add_option("--profile", "ISCAS'89 profile name (e.g. s641, s38584)");
   p.add_option("--seed", "generator seed", "1");
   p.add_option("--out", "output netlist path");
   p.parse(args);
-  const auto profile = find_profile(p.get("--profile"));
-  if (!profile) {
-    std::fprintf(stderr, "unknown profile '%s'; available:",
-                 p.get("--profile").c_str());
-    for (const auto& pr : iscas89_profiles()) {
-      std::fprintf(stderr, " %s", pr.name.c_str());
-    }
-    std::fprintf(stderr, "\n");
-    return 1;
-  }
+  const std::vector<std::string> names =
+      cli::expand_profiles(p.get("--profile"));
+  if (names.size() != 1) throw ArgError("--profile takes one profile name");
   const Netlist nl = generate_circuit(
-      *profile, static_cast<std::uint64_t>(p.get_int("--seed")));
+      *find_profile(names[0]),
+      static_cast<std::uint64_t>(p.get_int("--seed", 0)));
   save_netlist(nl, p.get("--out"), false);
   std::printf("wrote %s (%zu gates, %zu FFs)\n", p.get("--out").c_str(),
               nl.stats().gates, nl.stats().dffs);
@@ -167,34 +167,6 @@ int cmd_info(const std::vector<std::string>& args) {
   return 0;
 }
 
-int list_attacks() {
-  std::printf("registered attacks:\n");
-  for (const attack::AttackInfo& info : attack::registry().catalogue()) {
-    std::printf("  %-6s %s\n", info.name.c_str(), info.description.c_str());
-    for (const attack::AttackKnob& knob : info.knobs) {
-      std::printf("         --tune %s=<v> (default %s): %s\n",
-                  knob.key.c_str(), knob.default_value.c_str(),
-                  knob.help.c_str());
-    }
-  }
-  return 0;
-}
-
-int list_defenses() {
-  std::printf("registered defenses:\n");
-  for (const std::string& name : defense::registry().names()) {
-    const defense::DefenseBase& d = defense::registry().at(name);
-    std::printf("  %-12s %s\n", name.c_str(),
-                std::string(d.description()).c_str());
-    for (const defense::TuningKnob& knob : d.knobs()) {
-      std::printf("               --tune %s=<v> (default %s): %s\n",
-                  knob.key.c_str(), knob.default_value.c_str(),
-                  knob.help.c_str());
-    }
-  }
-  return 0;
-}
-
 int cmd_attack(const std::vector<std::string>& args) {
   ArgParser p;
   p.add_flag("--list", "print the registered attacks and their knobs");
@@ -216,29 +188,32 @@ int cmd_attack(const std::vector<std::string>& args) {
                "");
   cli::CommonOptions common_opt(p, cli::kJobs | cli::kObs | cli::kSimIsa);
   p.parse(args);
-  if (p.flag("--list")) return list_attacks();
+  if (p.flag("--list")) return print(cli::attack_list_text());
   common_opt.load(p);
+
+  // Empty keeps the attack's default; the sentinels themselves
+  // (kInheritSeed, a negative time limit, a zero budget) are not values.
+  attack::CommonAttackOptions common;
+  if (!p.get("--seed").empty()) {
+    common.seed = static_cast<std::uint64_t>(p.get_int("--seed", 0));
+  }
+  if (!p.get("--time-limit").empty()) {
+    common.time_limit_s = p.get_double("--time-limit", 0);
+  }
+  if (!p.get("--query-budget").empty()) {
+    common.query_budget =
+        static_cast<std::uint64_t>(p.get_int("--query-budget", 1));
+  }
+  if (!p.get("--work-budget").empty()) {
+    common.work_budget = p.get_int("--work-budget", 1);
+  }
+
+  const attack::Tuning tuning = parse_tuning_list(p.get("--tune"), ',');
 
   const Netlist view = foundry_view(load_netlist(p.get("--view")));
   const Netlist chip = load_netlist(p.get("--oracle"));
   // registry().run rejects an unknown kind, listing the known ones.
   const std::string kind = p.get("--kind");
-
-  attack::CommonAttackOptions common;
-  if (!p.get("--seed").empty()) {
-    common.seed = static_cast<std::uint64_t>(p.get_int("--seed"));
-  }
-  if (!p.get("--time-limit").empty()) {
-    common.time_limit_s = p.get_double("--time-limit");
-  }
-  if (!p.get("--query-budget").empty()) {
-    common.query_budget = static_cast<std::uint64_t>(p.get_int("--query-budget"));
-  }
-  if (!p.get("--work-budget").empty()) {
-    common.work_budget = p.get_int("--work-budget");
-  }
-
-  const attack::Tuning tuning = parse_tuning_list(p.get("--tune"), ',');
 
   const unsigned jobs = common_opt.jobs();
   ThreadPool pool(jobs == 0 ? 0u : jobs);
@@ -298,7 +273,7 @@ int cmd_defend(const std::vector<std::string>& args) {
              "paper kinds only: complex-function packing + dummy inputs");
   cli::CommonOptions common_opt(p, cli::kSimIsa);
   p.parse(args);
-  if (p.flag("--list")) return list_defenses();
+  if (p.flag("--list")) return print(cli::defense_list_text());
   common_opt.load(p);
   if (p.get("--in").empty()) {
     std::fprintf(stderr, "defend: pass --in <netlist> (or --list)\n");
@@ -311,13 +286,15 @@ int cmd_defend(const std::vector<std::string>& args) {
                    "dependent and parametric, not '" + kind + "'");
   }
 
+  defense::DefenseOptions opt;
+  opt.seed = static_cast<std::uint64_t>(p.get_int("--seed", 0));
+  opt.timing_margin = p.get_double("--margin", 0);
+  const defense::Tuning tuning = parse_tuning_list(p.get("--tune"), ',');
+
   const Netlist original = load_netlist(p.get("--in"));
   const TechLibrary lib = TechLibrary::cmos90_stt();
-  defense::DefenseOptions opt;
-  opt.seed = static_cast<std::uint64_t>(p.get_int("--seed"));
-  opt.timing_margin = p.get_double("--margin");
-  defense::DefenseResult r = defense::registry().apply(
-      kind, original, lib, opt, parse_tuning_list(p.get("--tune"), ','));
+  defense::DefenseResult r =
+      defense::registry().apply(kind, original, lib, opt, tuning);
   if (p.flag("--pack")) {
     PackingOptions popt;
     popt.seed = opt.seed;
@@ -438,11 +415,12 @@ int cmd_campaign(const std::vector<std::string>& args) {
   spec.attacks = p.get("--attack") == "all"
                      ? attack::registry().names()
                      : cli::split_list(p.get("--attack"));
-  spec.trials = static_cast<int>(p.get_int("--seeds"));
-  spec.master_seed = static_cast<std::uint64_t>(p.get_int("--master-seed"));
+  spec.trials = static_cast<int>(p.get_int("--seeds", 1, INT_MAX));
+  spec.master_seed =
+      static_cast<std::uint64_t>(p.get_int("--master-seed", 0));
   spec.jobs = common_opt.jobs();
-  spec.max_attempts = static_cast<int>(p.get_int("--retries"));
-  spec.timing_margin = p.get_double("--margin");
+  spec.max_attempts = static_cast<int>(p.get_int("--retries", 1, INT_MAX));
+  spec.timing_margin = p.get_double("--margin", 0);
 
   // Result store / resume / shard plumbing (runtime/store.hpp, shard.hpp).
   if (!p.get("--store").empty() && !p.get("--resume").empty()) {
@@ -537,18 +515,38 @@ int cmd_merge(const std::vector<std::string>& args) {
   return report.profile.failed_rows == 0 ? 0 : 2;
 }
 
-/// The `--gen` grid of `lint` and `analyze`: generates each profile at
-/// `opt.seed` and applies every defense axis point to it, profile-major.
-/// `on_clean`, when set, first sees the generated netlist named
-/// "<profile>/clean"; `on_locked` then sees each defense result, its netlist
-/// named "<profile>/<kind>".
-void generate_and_defend(
-    const std::vector<std::string>& profiles,
-    const std::vector<DefenseAxis>& axes, const defense::DefenseOptions& opt,
+/// The `--gen` options of `lint` and `analyze`; `what` says what --gen
+/// does with each profile.
+void add_gen_options(ArgParser& p, const std::string& what,
+                     const char* default_defense) {
+  p.add_option("--gen", "comma-separated ISCAS'89 profiles to " + what +
+                            " ('all' = the whole set)", "");
+  p.add_option("--defense",
+               "with --gen: comma list of kind[:k=v[:k=v...]] entries "
+               "(see 'sttlock defend --list'), or 'all'",
+               default_defense);
+  p.add_option("--seed", "with --gen: generation/defense seed", "1");
+  p.add_option("--margin", "with --gen: paper-adapter timing margin", "0.05");
+}
+
+/// The `--gen` grid of `lint` and `analyze`, profile-major, after checking
+/// every --defense axis point. `on_clean` (optional) sees "<profile>/clean",
+/// `on_locked` each "<profile>/<kind>". A defense that refuses a profile
+/// (paper kinds on the ITC'99 ones, generated hybrid) is reported as
+/// "<tool>: <profile>/<kind>: <message>" on stderr; returns how many did.
+int generate_and_defend(
+    const char* tool, const ArgParser& p,
     const std::function<void(const Netlist&)>& on_clean,
     const std::function<void(defense::DefenseResult&)>& on_locked) {
+  defense::DefenseOptions opt;
+  opt.seed = static_cast<std::uint64_t>(p.get_int("--seed", 0));
+  opt.timing_margin = p.get_double("--margin", 0);
+  const std::vector<DefenseAxis> axes =
+      cli::parse_defense_axis(p.get("--defense"));
+  check_defense_axis(axes);
   const TechLibrary lib = TechLibrary::cmos90_stt();
-  for (const std::string& name : profiles) {
+  int refused = 0;
+  for (const std::string& name : cli::expand_profiles(p.get("--gen"))) {
     const Netlist original = generate_circuit(*find_profile(name), opt.seed);
     if (on_clean) {
       Netlist clean = original;
@@ -556,15 +554,27 @@ void generate_and_defend(
       on_clean(clean);
     }
     for (const DefenseAxis& axis : axes) {
-      defense::DefenseResult r = defense::registry().apply(
-          axis.kind, original, lib, opt, axis.tuning);
+      defense::DefenseResult r;
+      try {
+        r = defense::registry().apply(axis.kind, original, lib, opt,
+                                      axis.tuning);
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "%s: %s/%s: %s\n", tool, name.c_str(),
+                     axis.kind.c_str(), e.what());
+        ++refused;
+        continue;
+      }
       r.locked.set_name(name + "/" + axis.kind);
       on_locked(r);
     }
   }
+  return refused;
 }
 
-DefenseAnnotations read_annotations(const std::string& path) {
+/// The --annotations file, or none when the option is empty.
+DefenseAnnotations read_annotations(const ArgParser& p) {
+  const std::string path = p.get("--annotations");
+  if (path.empty()) return {};
   std::ifstream in(path);
   if (!in) throw std::runtime_error("cannot read " + path);
   std::ostringstream text;
@@ -575,16 +585,7 @@ DefenseAnnotations read_annotations(const std::string& path) {
 int cmd_lint(const std::vector<std::string>& args) {
   ArgParser p;
   p.add_option("--in", "comma-separated netlist files to lint", "");
-  p.add_option("--gen",
-               "comma-separated ISCAS'89 profiles to generate, defend and "
-               "lint ('all' = the whole set)",
-               "");
-  p.add_option("--defense",
-               "with --gen: comma list of kind[:k=v[:k=v...]] entries "
-               "(see 'sttlock defend --list'), or 'all'",
-               kPaperKinds);
-  p.add_option("--seed", "with --gen: generation/defense seed", "1");
-  p.add_option("--margin", "with --gen: paper-adapter timing margin", "0.05");
+  add_gen_options(p, "generate, defend and lint", kPaperKinds);
   p.add_option("--scoap-threshold",
                "SEC004 resolvability bound (justify+observe cost)", "6.0");
   p.add_option("--annotations",
@@ -603,7 +604,7 @@ int cmd_lint(const std::vector<std::string>& args) {
   ObsCapture capture(common_opt);
   LintOptions opt;
   opt.run_audit = !p.flag("--no-audit");
-  opt.audit.resolvability_threshold = p.get_double("--scoap-threshold");
+  opt.audit.resolvability_threshold = p.get_double("--scoap-threshold", 0);
 
   std::vector<LintReport> reports;
   auto lint_one = [&](const Netlist& nl, const DefenseAnnotations& defense) {
@@ -614,23 +615,16 @@ int cmd_lint(const std::vector<std::string>& args) {
     }
   };
 
-  DefenseAnnotations file_annotations;
-  if (!p.get("--annotations").empty()) {
-    file_annotations = read_annotations(p.get("--annotations"));
-  }
+  const DefenseAnnotations file_annotations = read_annotations(p);
   for (const std::string& path : cli::split_list(p.get("--in"))) {
     lint_one(load_netlist(path), file_annotations);
   }
 
+  int refused = 0;
   if (!p.get("--gen").empty()) {
-    defense::DefenseOptions dopt;
-    dopt.seed = static_cast<std::uint64_t>(p.get_int("--seed"));
-    dopt.timing_margin = p.get_double("--margin");
     // The clean pre-lock netlist is part of the regression surface too.
-    generate_and_defend(
-        cli::expand_profiles(p.get("--gen")),
-        cli::parse_defense_axis(p.get("--defense")), dopt,
-        [&](const Netlist& clean) { lint_one(clean, {}); },
+    refused = generate_and_defend(
+        "lint", p, [&](const Netlist& clean) { lint_one(clean, {}); },
         [&](defense::DefenseResult& r) { lint_one(r.locked, r.annotations); });
   }
 
@@ -641,10 +635,9 @@ int cmd_lint(const std::vector<std::string>& args) {
     return 1;
   }
   if (!p.get("--json").empty()) {
-    std::ofstream out(p.get("--json"));
-    if (!out) throw std::runtime_error("cannot write " + p.get("--json"));
-    out << (reports.size() == 1 ? lint_json(reports.front())
-                                : lint_json(reports));
+    write_text_file(p.get("--json"), reports.size() == 1
+                                         ? lint_json(reports.front())
+                                         : lint_json(reports));
   }
 
   int failed = 0;
@@ -653,22 +646,14 @@ int cmd_lint(const std::vector<std::string>& args) {
   }
   std::printf("lint: %zu netlist(s), %d failed%s\n", reports.size(), failed,
               p.flag("--strict") ? " (strict)" : "");
+  if (refused > 0) return 1;
   return failed == 0 ? 0 : 2;
 }
 
 int cmd_analyze(const std::vector<std::string>& args) {
   ArgParser p;
   p.add_option("--in", "comma-separated netlist files to analyze", "");
-  p.add_option("--gen",
-               "comma-separated ISCAS'89 profiles to generate, lock and "
-               "analyze ('all' = the whole set)",
-               "");
-  p.add_option("--defense",
-               "with --gen: comma list of kind[:k=v[:k=v...]] entries "
-               "(see 'sttlock defend --list'), or 'all'",
-               "parametric");
-  p.add_option("--seed", "with --gen: generation/defense seed", "1");
-  p.add_option("--margin", "with --gen: paper-adapter timing margin", "0.05");
+  add_gen_options(p, "generate, lock and analyze", "parametric");
   p.add_option("--annotations",
                "with --in: defense annotation file (sttlock defend "
                "--out-annotations); --gen feeds each defense's own "
@@ -688,27 +673,21 @@ int cmd_analyze(const std::vector<std::string>& args) {
   };
   std::vector<AnalyzeTask> tasks;
 
-  DefenseAnnotations file_annotations;
-  if (!p.get("--annotations").empty()) {
-    file_annotations = read_annotations(p.get("--annotations"));
-  }
+  const DefenseAnnotations file_annotations = read_annotations(p);
   for (const std::string& path : cli::split_list(p.get("--in"))) {
     tasks.push_back({path, load_netlist(path), file_annotations});
   }
 
+  int failed = 0;
   if (!p.get("--gen").empty()) {
-    defense::DefenseOptions opt;
-    opt.seed = static_cast<std::uint64_t>(p.get_int("--seed"));
-    opt.timing_margin = p.get_double("--margin");
-    generate_and_defend(cli::expand_profiles(p.get("--gen")),
-                        cli::parse_defense_axis(p.get("--defense")), opt,
-                        nullptr, [&](defense::DefenseResult& r) {
-                          std::string name = r.locked.name();
-                          tasks.push_back({std::move(name), std::move(r.locked),
-                                           std::move(r.annotations)});
-                        });
+    failed = generate_and_defend(
+        "analyze", p, nullptr, [&](defense::DefenseResult& r) {
+          std::string name = r.locked.name();
+          tasks.push_back(
+              {std::move(name), std::move(r.locked), std::move(r.annotations)});
+        });
   }
-  if (tasks.empty()) {
+  if (tasks.empty() && failed == 0) {
     std::fprintf(stderr, "analyze: nothing to do (pass --in or --gen)\n");
     return 1;
   }
@@ -736,7 +715,6 @@ int cmd_analyze(const std::vector<std::string>& args) {
   }
   capture.finish();
 
-  int failed = 0;
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     if (!errors[i].empty()) {
       std::fprintf(stderr, "analyze: %s: %s\n", tasks[i].name.c_str(),
