@@ -12,10 +12,10 @@
 
 #include <array>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
+#include "bench_jobs.hpp"
 #include "core/flow.hpp"
 #include "runtime/job.hpp"
 #include "runtime/thread_pool.hpp"
@@ -30,17 +30,6 @@ namespace {
 using namespace stt;
 
 constexpr std::uint64_t kSeed = 20160605;  // DAC'16 conference date
-
-// Worker threads for the table regeneration; STT_BENCH_JOBS overrides
-// (set to 1 to reproduce the old serial behaviour — values are identical
-// either way, only wall time changes).
-unsigned bench_jobs() {
-  if (const char* env = std::getenv("STT_BENCH_JOBS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return static_cast<unsigned>(n);
-  }
-  return 0;  // ThreadPool: hardware concurrency
-}
 
 void print_table1() {
   const TechLibrary lib = TechLibrary::cmos90_stt();
@@ -152,7 +141,12 @@ BENCHMARK(bm_secure_flow)->Arg(0)->Arg(4)->Arg(7)->Iterations(1);
 }  // namespace
 
 int main(int argc, char** argv) {
-  print_table1();
+  try {
+    print_table1();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "bench_table1_overhead: %s\n", e.what());
+    return 2;
+  }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

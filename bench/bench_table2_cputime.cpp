@@ -7,10 +7,10 @@
 
 #include <array>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
+#include "bench_jobs.hpp"
 #include "core/selection.hpp"
 #include "runtime/job.hpp"
 #include "runtime/thread_pool.hpp"
@@ -23,14 +23,6 @@ namespace {
 using namespace stt;
 
 constexpr std::uint64_t kSeed = 20160605;
-
-unsigned bench_jobs() {
-  if (const char* env = std::getenv("STT_BENCH_JOBS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return static_cast<unsigned>(n);
-  }
-  return 0;  // ThreadPool: hardware concurrency
-}
 
 void print_table2() {
   const TechLibrary lib = TechLibrary::cmos90_stt();
@@ -109,7 +101,12 @@ BENCHMARK(bm_selection)
 }  // namespace
 
 int main(int argc, char** argv) {
-  print_table2();
+  try {
+    print_table2();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "bench_table2_cputime: %s\n", e.what());
+    return 2;
+  }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -63,57 +63,37 @@ DpaResult run_dpa_attack(const Netlist& nl, CellId target,
   result.best_correlation = -2;
   result.runner_up_correlation = -2;
 
-  Netlist model = nl;
-  // A standard-gate target is remasked through LUT semantics.
-  if (model.cell(target).kind != CellKind::kLut) {
-    model.replace_with_lut(target);
+  // A standard-gate target is remasked through LUT semantics, in a copy;
+  // a LUT target is simulated from `nl` itself.
+  std::optional<Netlist> remasked;
+  if (tc.kind != CellKind::kLut) {
+    remasked.emplace(nl);
+    remasked->replace_with_lut(target);
   }
+  CompiledSim sim(remasked ? *remasked : nl);
 
-  // Pack the recorded stimulus into word lanes once (lane b of word w is
-  // cycle w*64+b), so every candidate replays 64 cycles per evaluation.
-  const std::size_t n_cycles = measurement.pi_bits.size();
-  const std::size_t n_words = (n_cycles + 63) / 64;
-  const std::size_t n_pi = model.inputs().size();
-  const std::size_t n_ff = model.dffs().size();
-  std::vector<std::vector<std::uint64_t>> pi_words(
-      n_words, std::vector<std::uint64_t>(n_pi, 0));
-  std::vector<std::vector<std::uint64_t>> ff_words(
-      n_words, std::vector<std::uint64_t>(n_ff, 0));
-  for (std::size_t t = 0; t < n_cycles; ++t) {
-    const std::size_t w = t / 64;
-    const std::uint64_t bit = 1ull << (t % 64);
-    for (std::size_t i = 0; i < n_pi; ++i) {
-      if (measurement.pi_bits[t][i]) pi_words[w][i] |= bit;
-    }
-    for (std::size_t j = 0; j < n_ff; ++j) {
-      if (measurement.state_bits[t][j]) ff_words[w][j] |= bit;
-    }
-  }
-
-  // Compile the model once; each candidate is an O(1) mask patch plus one
-  // eval_batch over the whole recorded stimulus in the blocked layout (the
-  // engine runs whole SIMD lanes and finishes any misaligned tail with the
-  // scalar kernel). The target's row of the blocked wave is then walked
-  // serially to chain the toggle indicator.
-  CompiledSim sim(model);
-  const std::size_t W = n_words;
-  std::vector<std::uint64_t> pi_blk(n_pi * W), ff_blk(n_ff * W);
-  for (std::size_t w = 0; w < W; ++w) {
-    for (std::size_t i = 0; i < n_pi; ++i) pi_blk[i * W + w] = pi_words[w][i];
-    for (std::size_t j = 0; j < n_ff; ++j) ff_blk[j * W + w] = ff_words[w][j];
-  }
+  // The recorded stimulus and state are already packed as eval_batch
+  // reads them (lane b of word w is cycle w*64+b). One full evaluation
+  // fills the wave; a candidate is then an O(1) mask patch plus a
+  // re-evaluation of the target's fan-out cone, which leaves the wave what
+  // a full evaluation under that candidate would give. The target's row is
+  // then walked serially to chain the toggle indicator.
+  const std::size_t n_cycles = measurement.pi.patterns();
+  const std::size_t W = measurement.pi.words();
   std::vector<std::uint64_t> wave(sim.wave_size() * W);
+  sim.eval_batch(W, measurement.pi.data(), measurement.state.data(), wave);
+  const CompiledSim::Cone cone = sim.cone_of(target);
   std::vector<double> prediction;
   for (const std::uint64_t candidate : candidates) {
     sim.set_lut_mask(target, candidate & full_mask(k));
+    sim.eval_cone(W, cone, wave);
 
     // Predict the target's output-toggle indicator per cycle from the
     // recorded stimulus and state.
     prediction.clear();
     prediction.reserve(measured.size());
     bool prev_out = false;
-    if (W != 0) sim.eval_batch(W, pi_blk, ff_blk, wave);
-    for (std::size_t w = 0; w < n_words; ++w) {
+    for (std::size_t w = 0; w < W; ++w) {
       const std::uint64_t target_word = wave[target * W + w];
       const std::size_t lanes = std::min<std::size_t>(64, n_cycles - w * 64);
       for (std::size_t b = 0; b < lanes; ++b) {

@@ -1,7 +1,10 @@
 #include "power/trace.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 
+#include "obs/obs.hpp"
 #include "sim/compiled.hpp"
 
 namespace stt {
@@ -21,12 +24,11 @@ double gaussian(Rng& rng, double sigma) {
 PowerTraceResult simulate_power_trace(const Netlist& nl,
                                       const TechLibrary& lib,
                                       const TraceOptions& opt) {
+  STTLOCK_SPAN("power", "trace");
   Rng rng(opt.seed ^ 0x70a3c3a11ull);
   Rng noise_rng = rng.split();  // keep stimulus independent of noise draws
-  PowerTraceResult result;
-  result.trace_fj.reserve(opt.cycles);
-  result.pi_bits.reserve(opt.cycles);
-  result.state_bits.reserve(opt.cycles);
+  const std::size_t n_cycles =
+      static_cast<std::size_t>(std::max(opt.cycles, 0));
 
   // Precompute per-cell toggle energies.
   std::vector<double> toggle_energy(nl.size(), 0.0);
@@ -61,54 +63,89 @@ PowerTraceResult simulate_power_trace(const Netlist& nl,
   }
 
   const CompiledSim sim(nl);
-  const std::size_t n_pi = nl.inputs().size();
-  std::vector<std::uint64_t> pi(n_pi, 0);
-  std::vector<std::uint64_t> sim_state(nl.dffs().size(), 0);
-  std::vector<std::uint64_t> wave(nl.size());
-  std::vector<std::uint64_t> prev_wave;
+  const std::size_t n_pi = sim.num_inputs();
+  const std::size_t n_ff = sim.num_dffs();
+  PowerTraceResult result;
+  result.pi = PackedRows(n_pi, n_cycles);
+  result.state = PackedRows(n_ff, n_cycles);
 
-  for (int cycle = 0; cycle < opt.cycles; ++cycle) {
-    // Record state *before* the cycle, then apply a new PI vector.
-    std::vector<bool> state(nl.dffs().size());
-    for (std::size_t j = 0; j < state.size(); ++j) {
-      state[j] = sim_state[j] & 1ull;
-    }
-    for (auto& w : pi) {
-      if (rng.chance(opt.input_toggle)) w ^= 1ull;
-    }
-    std::vector<bool> pi_vec(n_pi);
-    for (std::size_t i = 0; i < n_pi; ++i) pi_vec[i] = pi[i] & 1ull;
-
-    sim.step(pi, sim_state, wave);
-
-    double energy = leak_baseline;
-    if (!prev_wave.empty()) {
-      for (CellId id = 0; id < nl.size(); ++id) {
-        const Cell& c = nl.cell(id);
-        const bool now = wave[id] & 1ull;
-        const bool before = prev_wave[id] & 1ull;
-        if (c.kind == CellKind::kLut) {
-          // Read event on any input transition; content-independent.
-          bool input_event = false;
-          for (const CellId f : c.fanins) {
-            if ((wave[f] & 1ull) != (prev_wave[f] & 1ull)) input_event = true;
-          }
-          if (input_event) energy += lut_read_energy[id];
-        } else if (now != before) {
-          energy += toggle_energy[id];
-        }
-        if (c.kind == CellKind::kDff) {
-          energy += 0.3 * toggle_energy[id];  // clock pin, every cycle
-        }
+  // The stimulus: each cycle toggles each PI with probability
+  // input_toggle, drawn cycle by cycle in PI order.
+  {
+    std::vector<char> level(n_pi, 0);
+    for (std::size_t t = 0; t < n_cycles; ++t) {
+      for (std::size_t i = 0; i < n_pi; ++i) {
+        if (rng.chance(opt.input_toggle)) level[i] ^= 1;
+        if (level[i]) result.pi.set(i, t);
       }
     }
-    energy += gaussian(noise_rng, opt.noise_sigma_fj);
-
-    result.trace_fj.push_back(energy);
-    result.pi_bits.push_back(std::move(pi_vec));
-    result.state_bits.push_back(std::move(state));
-    prev_wave.assign(wave.begin(), wave.end());
   }
+
+  // The state trajectory, one cycle at a time over the D-pin fan-in cone.
+  // Lane 0 carries the trajectory; the other lanes are never read.
+  {
+    const CompiledSim::Cone cone = sim.next_state_cone();
+    std::vector<std::uint64_t> pi(n_pi), state(n_ff, 0);
+    std::vector<std::uint64_t> wave(sim.wave_size());
+    for (std::size_t t = 0; t < n_cycles; ++t) {
+      for (std::size_t j = 0; j < n_ff; ++j) {
+        if (state[j] & 1ull) result.state.set(j, t);
+      }
+      for (std::size_t i = 0; i < n_pi; ++i) pi[i] = result.pi.bit(i, t);
+      sim.step(cone, pi, state, wave);
+    }
+  }
+
+  // Every cell over every cycle in one batch, 64 cycles per word. Cycle 0
+  // has no predecessor and draws leakage only. Within a cycle, terms are
+  // added in ascending cell id, a flip-flop's clock term right after its
+  // data toggle, and the noise last.
+  const std::size_t W = result.pi.words();
+  if (W == 0) return result;
+  std::vector<double> energy(n_cycles, leak_baseline);
+  std::vector<std::uint64_t> wave(sim.wave_size() * W);
+  sim.eval_batch(W, result.pi.data(), result.state.data(), wave);
+  const std::uint64_t last_mask =
+      n_cycles % 64 == 0 ? ~0ull : (1ull << (n_cycles % 64)) - 1;
+  // Bit t of a row's toggle words: the row changed from cycle t-1 to t.
+  const auto row_toggles = [&](CellId r, std::uint64_t* out) {
+    const std::uint64_t* v = wave.data() + r * W;
+    std::uint64_t prev = v[0] & 1ull;
+    for (std::size_t w = 0; w < W; ++w) {
+      out[w] = v[w] ^ ((v[w] << 1) | prev);
+      prev = v[w] >> 63;
+    }
+    out[W - 1] &= last_mask;
+  };
+  const auto add = [&](const std::uint64_t* ev, double e) {
+    for (std::size_t w = 0; w < W; ++w) {
+      for (std::uint64_t bits = ev[w]; bits != 0; bits &= bits - 1) {
+        energy[w * 64 + std::countr_zero(bits)] += e;
+      }
+    }
+  };
+  std::vector<std::uint64_t> events(W), toggles(W);
+  for (CellId id = 0; id < nl.size(); ++id) {
+    const Cell& c = nl.cell(id);
+    if (c.kind == CellKind::kLut) {
+      // Read event on any input transition; content-independent.
+      std::fill(events.begin(), events.end(), 0);
+      for (const CellId f : c.fanins) {
+        row_toggles(f, toggles.data());
+        for (std::size_t w = 0; w < W; ++w) events[w] |= toggles[w];
+      }
+      add(events.data(), lut_read_energy[id]);
+    } else if (toggle_energy[id] != 0) {
+      row_toggles(id, events.data());
+      add(events.data(), toggle_energy[id]);
+    }
+    if (c.kind == CellKind::kDff) {
+      const double clock = 0.3 * toggle_energy[id];  // clock pin
+      for (std::size_t t = 1; t < n_cycles; ++t) energy[t] += clock;
+    }
+  }
+  for (double& e : energy) e += gaussian(noise_rng, opt.noise_sigma_fj);
+  result.trace_fj = std::move(energy);
   return result;
 }
 

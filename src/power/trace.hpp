@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "netlist/netlist.hpp"
+#include "sim/packed_rows.hpp"
 #include "tech/tech_library.hpp"
 #include "util/rng.hpp"
 
@@ -33,12 +34,21 @@ struct TraceOptions {
 struct PowerTraceResult {
   /// One energy sample (fJ) per simulated cycle.
   std::vector<double> trace_fj;
-  /// The applied stimulus, for attacker-side prediction: pi_bits[t][i].
-  std::vector<std::vector<bool>> pi_bits;
-  /// Observed state before each cycle: state_bits[t][j].
-  std::vector<std::vector<bool>> state_bits;
+  /// The applied stimulus, for attacker-side prediction: `pi.bit(i, t)` is
+  /// input i in cycle t. Packed as `eval_batch` reads it.
+  PackedRows pi;
+  /// Observed state before each cycle: `state.bit(j, t)` is flip-flop j.
+  PackedRows state;
 };
 
+/// Simulate `opt.cycles` clock cycles under a random PI stimulus and return
+/// one energy sample per cycle, under a `power/trace` span. The state
+/// trajectory is the only serial dependency, so it runs one cycle at a
+/// time over the D-pin fan-in cone alone; every cell's values over all
+/// cycles then come from a batch evaluation, 64 cycles per word, and
+/// toggles are lane-shifted XORs of those words. Each sample sums its
+/// terms in ascending cell id, the order a one-cycle-at-a-time simulation
+/// adds them in, so the samples are the same bits.
 PowerTraceResult simulate_power_trace(const Netlist& nl,
                                       const TechLibrary& lib,
                                       const TraceOptions& opt = {});
