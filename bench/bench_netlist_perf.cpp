@@ -19,6 +19,15 @@
 //  * seq_depth — the circuit sequential depth D of Eq. (3), which every
 //               security report computes (current path only).
 //
+// A second input times key-dependency analysis (verify/keydep), the largest
+// cost of `sttlock lint` on locked designs: an ITC'99-class replica locked
+// with the xor defense (b14 with --smoke, b17 otherwise), analyzed once per
+// interference request — paths "keydep_edges" (the edge list `analyze`
+// writes) and "keydep_degrees" (the degrees lint reads). Its phases are the
+// analysis' own trace spans: support (the support-function pass), cells
+// (per-key-cell facts and fan-out cones) and pairs (the interference scan).
+// Both requests must agree on every degree and on the interfering-pair count.
+//
 // The seed path is a pinned replica compiled into this benchmark: the
 // netlist core, .bench reader and structural-lint rule loop exactly as they
 // shipped before the million-gate-core PR. Both paths fold their netlist
@@ -34,10 +43,13 @@
 //     "bench_bytes": N, "findings": N,
 //     "checksum": "...", "seed_checksum": "...",
 //     "load_lint_speedup": X.XX,
+//     "keydep_netlist": "b14/xor", "keydep_cells": N, "keydep_key_cells": N,
+//     "keydep_edges": N,
 //     "phases": [
-//       {"path": "seed"|"current", "phase": "...", "reps": N,
-//        "seconds": S, "cells_per_sec": R}, ...   // S = fastest repetition
-//     ]
+//       {"path": "seed"|"current"|"keydep_edges"|"keydep_degrees",
+//        "phase": "...", "reps": N, "seconds": S,
+//        "cells_per_sec": R}, ...   // S = fastest repetition, R over the
+//     ]                             // row's own netlist
 //   }
 //
 // Acceptance gates:
@@ -48,6 +60,7 @@
 //    circuit where fixed costs dominate and skips the throughput gate.
 #include <algorithm>
 #include <charconv>
+#include <cstdlib>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -56,14 +69,18 @@
 #include <utility>
 #include <vector>
 
+#include "defense/registry.hpp"
 #include "graph/analysis.hpp"
 #include "io/bench_io.hpp"
+#include "obs/obs.hpp"
 #include "sim/compiled.hpp"
 #include "sim/scoap.hpp"
 #include "synth/generator.hpp"
+#include "tech/tech_library.hpp"
 #include "util/args.hpp"
 #include "util/strings.hpp"
 #include "util/timer.hpp"
+#include "verify/keydep.hpp"
 #include "verify/structural.hpp"
 
 namespace seedpath {
@@ -623,8 +640,22 @@ struct Row {
   std::string path;
   std::string phase;
   int reps = 0;
-  double seconds = 0;  ///< fastest timed repetition
+  double seconds = 0;     ///< fastest timed repetition
+  std::size_t cells = 0;  ///< size of the netlist the row ran on
 };
+
+// Total duration in seconds of the completed trace spans named `name` in a
+// chrome_json() document.
+double span_seconds(const std::string& trace, const std::string& name) {
+  const std::string key = "{\"name\":\"" + name + "\"";
+  std::int64_t us = 0;
+  for (std::size_t at = trace.find(key); at != std::string::npos;
+       at = trace.find(key, at + 1)) {
+    const std::size_t dur = trace.find("\"dur\":", at) + 6;
+    us += std::strtoll(trace.c_str() + dur, nullptr, 10);
+  }
+  return static_cast<double>(us) * 1e-6;
+}
 
 // Structural digest over anything cell-shaped: cells in id order (kind, name
 // bytes, fan-in ids, output mark, LUT mask), then the topological order. A
@@ -693,6 +724,7 @@ int main(int argc, char** argv) {
   }
 
   std::vector<Row> rows;
+  std::size_t n_cells = 0;
   // One untimed warm-up pass, then repeat until min_seconds of accumulated
   // wall time, with at least two timed repetitions; keeps the fastest
   // repetition. On a shared machine interference only ever adds time, so the
@@ -701,7 +733,7 @@ int main(int argc, char** argv) {
   const auto repeat = [&](const char* path, const char* phase,
                           const auto& pass) {
     pass();  // warm-up
-    Row r{path, phase, 0, 0};
+    Row r{path, phase, 0, 0, n_cells};
     double total = 0;
     do {
       Timer timer;
@@ -717,7 +749,7 @@ int main(int argc, char** argv) {
 
   // -- current path ---------------------------------------------------------
   Netlist cur = read_bench(text, profile->name);
-  const std::size_t n_cells = cur.size();
+  n_cells = cur.size();
   std::size_t n_edges = 0;
   for (CellId id = 0; id < cur.size(); ++id) {
     n_edges += cur.cell(id).fanins.size();
@@ -776,6 +808,72 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // -- keydep phases --------------------------------------------------------
+  const std::string keydep_bench = smoke ? "b14" : "b17";
+  const defense::DefenseResult locked = [&] {
+    defense::DefenseOptions dopt;
+    dopt.seed = kSeed;
+    return defense::registry().apply(
+        "xor", generate_circuit(*find_profile(keydep_bench), kSeed),
+        TechLibrary::cmos90_stt(), dopt, {});
+  }();
+  obs::Counter& interfering =
+      obs::Metrics::global().counter("verify.keydep.edges", false);
+  KeydepResult by_request[2];
+  std::uint64_t interfering_pairs[2] = {0, 0};
+  const InterferenceRequest requests[2] = {InterferenceRequest::kEdges,
+                                           InterferenceRequest::kDegrees};
+  for (int m = 0; m < 2; ++m) {
+    KeydepOptions kopt;
+    kopt.defense = locked.annotations;
+    kopt.interference = requests[m];
+    const std::uint64_t before = interfering.value();
+    by_request[m] = analyze_keydep(locked.locked, kopt);  // warm-up
+    interfering_pairs[m] = interfering.value() - before;
+    const char* path = m == 0 ? "keydep_edges" : "keydep_degrees";
+    const char* phases[3] = {"support", "cells", "pairs"};
+    double best[3] = {0, 0, 0};
+    double total = 0;
+    int reps = 0;
+    obs::TraceRecorder& recorder = obs::TraceRecorder::global();
+    do {
+      Timer timer;
+      recorder.start();
+      (void)analyze_keydep(locked.locked, kopt);
+      recorder.stop();
+      total += timer.seconds();
+      const std::string trace = recorder.chrome_json();
+      for (int p = 0; p < 3; ++p) {
+        const double t =
+            span_seconds(trace, std::string("keydep_") + phases[p]);
+        if (reps == 0 || t < best[p]) best[p] = t;
+      }
+      ++reps;
+    } while (total < min_seconds || reps < 2);
+    for (int p = 0; p < 3; ++p) {
+      rows.push_back({path, phases[p], reps, best[p], locked.locked.size()});
+    }
+  }
+  bool same_degrees =
+      by_request[0].cells.size() == by_request[1].cells.size();
+  for (std::size_t i = 0; same_degrees && i < by_request[0].cells.size();
+       ++i) {
+    same_degrees = by_request[0].cells[i].interference_degree ==
+                   by_request[1].cells[i].interference_degree;
+  }
+  if (!same_degrees || interfering_pairs[0] != interfering_pairs[1] ||
+      (obs::kEnabled && interfering_pairs[0] != by_request[0].edges.size())) {
+    std::fprintf(stderr,
+                 "bench_netlist_perf: keydep degrees-only and edge mode "
+                 "disagree on %s/xor (%llu vs %llu interfering pairs, %zu "
+                 "edges)\n",
+                 keydep_bench.c_str(),
+                 static_cast<unsigned long long>(interfering_pairs[0]),
+                 static_cast<unsigned long long>(interfering_pairs[1]),
+                 by_request[0].edges.size());
+    return 1;
+  }
+
   const double speedup =
       cur_parse + cur_lint_s > 0
           ? (seed_parse + seed_lint_s) / (cur_parse + cur_lint_s)
@@ -792,6 +890,12 @@ int main(int argc, char** argv) {
   json += "  \"checksum\": \"" + std::to_string(cur_checksum) + "\",\n";
   json += "  \"seed_checksum\": \"" + std::to_string(seed_checksum) + "\",\n";
   json += strformat("  \"load_lint_speedup\": %.2f,\n", speedup);
+  json += "  \"keydep_netlist\": \"" + keydep_bench + "/xor\",\n";
+  json += strformat("  \"keydep_cells\": %zu,\n", locked.locked.size());
+  json += strformat("  \"keydep_key_cells\": %d,\n",
+                    by_request[0].key_cells);
+  json += strformat("  \"keydep_edges\": %zu,\n",
+                    by_request[0].edges.size());
   json += "  \"phases\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
@@ -800,7 +904,8 @@ int main(int argc, char** argv) {
                   "    {\"path\": \"%s\", \"phase\": \"%s\", \"reps\": %d, "
                   "\"seconds\": %.6f, \"cells_per_sec\": %.1f}%s\n",
                   r.path.c_str(), r.phase.c_str(), r.reps, r.seconds,
-                  r.seconds > 0 ? static_cast<double>(n_cells) / r.seconds : 0.0,
+                  r.seconds > 0 ? static_cast<double>(r.cells) / r.seconds
+                                : 0.0,
                   i + 1 < rows.size() ? "," : "");
     json += buf;
   }

@@ -14,7 +14,8 @@ shape.
 
 Also validates a bench JSON document against its schema: ``--bench netlist``
 checks the shape bench_netlist_perf writes (counts, matching structural
-checksums, and the per-path/per-phase timing rows); ``--bench sat`` checks
+checksums, the per-path/per-phase timing rows, and the keydep support,
+cells and pairs rows under both interference requests); ``--bench sat`` checks
 the shape bench_sat_perf writes (exactly the pruned and pruned_sim modes,
 integer counts, positive seconds, and every mode's CNF growth per DIP
 within a tenth of ``full_copy_per_iter``), plus the optional ``history``
@@ -267,16 +268,21 @@ def validate_campaign_runtime(path, rt, n_rows):
 
 NETLIST_BENCH_KEYS = {
     "benchmark", "cells", "edges", "luts", "bench_bytes", "findings",
-    "checksum", "seed_checksum", "load_lint_speedup", "phases",
+    "checksum", "seed_checksum", "load_lint_speedup", "keydep_netlist",
+    "keydep_cells", "keydep_key_cells", "keydep_edges", "phases",
 }
-NETLIST_BENCH_COUNTS = ("cells", "edges", "luts", "bench_bytes", "findings")
+NETLIST_BENCH_COUNTS = ("cells", "edges", "luts", "bench_bytes", "findings",
+                        "keydep_cells", "keydep_key_cells", "keydep_edges")
 NETLIST_PHASE_KEYS = {"path", "phase", "reps", "seconds", "cells_per_sec"}
-NETLIST_PATHS = {"current", "seed"}
+NETLIST_KEYDEP_PATHS = {"keydep_edges", "keydep_degrees"}
+NETLIST_PATHS = {"current", "seed"} | NETLIST_KEYDEP_PATHS
 # Every path must time at least these phases. The audit passes "scoap" and
 # "seq_depth" (and "lower") run on the current path only: the seed replica
-# core is a bench-local type the library passes do not consume.
+# core is a bench-local type the library passes do not consume. The keydep
+# paths time the analysis' own spans, once per interference request.
 NETLIST_REQUIRED_PHASES = {"parse", "finalize", "topo", "lint"}
 NETLIST_CURRENT_PHASES = {"scoap", "seq_depth"}
+NETLIST_KEYDEP_PHASES = {"support", "cells", "pairs"}
 
 
 def validate_netlist_bench(path):
@@ -324,6 +330,8 @@ def validate_netlist_bench(path):
         required = NETLIST_REQUIRED_PHASES
         if p == "current":
             required = required | NETLIST_CURRENT_PHASES
+        elif p in NETLIST_KEYDEP_PATHS:
+            required = NETLIST_KEYDEP_PHASES
         missing = required - timed[p]
         if missing:
             fail(f"{path}: path {p!r} missing timed phases"

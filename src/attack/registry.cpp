@@ -250,6 +250,7 @@ UnifiedResult run_dpa(const Ctx& c) {
 UnifiedResult run_static(const Ctx& c) {
   KeydepOptions opt;
   apply_tuning<KeydepOptions>({}, opt, c.tuning, "attack", "static");
+  opt.interference = InterferenceRequest::kDegrees;
   const auto start = std::chrono::steady_clock::now();
   const KeydepResult r = analyze_keydep(c.hybrid, opt);
   UnifiedResult u;

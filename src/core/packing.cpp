@@ -30,25 +30,33 @@ bool absorbable(const Netlist& nl, CellId g) {
   // (all fanout entries equal = the same reader on several pins)
 }
 
-// Combinational fan-out cone of `root` (exclusive of flip-flop frontiers):
-// cells reachable through fan-out edges without crossing into a DFF.
-std::vector<bool> comb_fanout_cone(const Netlist& nl, CellId root) {
-  std::vector<bool> in_cone(nl.size(), false);
-  std::vector<CellId> work{root};
-  in_cone[root] = true;
-  while (!work.empty()) {
-    const CellId u = work.back();
-    work.pop_back();
-    for (const CellId v : nl.cell(u).fanouts) {
-      if (nl.cell(v).kind == CellKind::kDff) continue;
-      if (!in_cone[v]) {
-        in_cone[v] = true;
-        work.push_back(v);
+// Combinational fan-out cone of one root at a time (exclusive of flip-flop
+// frontiers): cells reachable through fan-out edges without crossing into a
+// DFF. One buffer serves every root: a new cone clears only the cells the
+// previous one marked, so a cone costs its own size, not the netlist's.
+class CombFanoutCone {
+ public:
+  explicit CombFanoutCone(std::size_t cells) : in_cone_(cells, 0) {}
+
+  void build(const Netlist& nl, CellId root) {
+    for (const CellId v : members_) in_cone_[v] = 0;
+    members_.assign(1, root);
+    in_cone_[root] = 1;
+    // members_ doubles as the work list: everything past `next` is unvisited.
+    for (std::size_t next = 0; next < members_.size(); ++next) {
+      for (const CellId v : nl.cell(members_[next]).fanouts) {
+        if (nl.cell(v).kind == CellKind::kDff || in_cone_[v]) continue;
+        in_cone_[v] = 1;
+        members_.push_back(v);
       }
     }
   }
-  return in_cone;
-}
+  bool contains(CellId v) const { return in_cone_[v] != 0; }
+
+ private:
+  std::vector<char> in_cone_;
+  std::vector<CellId> members_;
+};
 
 // Try to absorb one driver of LUT `lut`; returns true on success. `accept`
 // is consulted after the tentative rewrite (timing guard); on rejection the
@@ -186,18 +194,19 @@ PackingResult pack_complex_functions(Netlist& nl, const PackingOptions& opt) {
     }
   }
 
+  CombFanoutCone cone(nl.size());
   for (const CellId lut : luts) {
     for (int d = 0; d < opt.dummies_per_lut; ++d) {
       Cell& l = nl.cell(lut);
       const int k = l.fanin_count();
       if (k >= opt.max_inputs) break;
-      const auto in_cone = comb_fanout_cone(nl, lut);
+      cone.build(nl, lut);
       CellId dummy = kNullCell;
       for (int attempt = 0; attempt < 64; ++attempt) {
         const auto candidate =
             static_cast<CellId>(rng.below(nl.size()));
         const Cell& cc = nl.cell(candidate);
-        if (in_cone[candidate]) continue;
+        if (cone.contains(candidate)) continue;
         if (candidate == lut) continue;
         if (std::find(l.fanins.begin(), l.fanins.end(), candidate) !=
             l.fanins.end()) {

@@ -1,8 +1,47 @@
 #include "verify/dataflow.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace stt {
+
+namespace {
+
+// Elementary truth tables over 64 rows: bit `row` of kVarMask[i] is bit i
+// of `row`, i.e. the table of variable i alone.
+constexpr std::uint64_t kVarMask[kMaxLutInputs] = {
+    0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
+    0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
+
+// Exchange variables a < b of a truth table: the rows where they differ
+// trade places, the rest stay.
+std::uint64_t swap_vars(std::uint64_t t, int a, int b) {
+  const std::uint64_t up = kVarMask[a] & ~kVarMask[b];
+  const std::uint64_t down = kVarMask[b] & ~kVarMask[a];
+  const int shift = (1 << b) - (1 << a);
+  return (t & ~(up | down)) | ((t & up) << shift) | ((t & down) >> shift);
+}
+
+// The table of a normalized function `f` re-indexed onto a merged variable
+// list in which f's variable j sits at position pos[j] (increasing). The
+// result is a full 64-row table whose other variables are vacuous.
+std::uint64_t expand(const SupportFunction& f, const int* pos) {
+  const int m = static_cast<int>(f.vars.size());
+  std::uint64_t t = f.mask;
+  for (int v = m; v < kMaxLutInputs; ++v) t |= t << (1u << v);
+  // Top variable first: position pos[j] > j is vacuous until j moves there.
+  for (int j = m - 1; j >= 0; --j) {
+    if (pos[j] != j) t = swap_vars(t, j, pos[j]);
+  }
+  return t;
+}
+
+}  // namespace
+
+void SupportVars::erase(std::size_t i) {
+  std::copy(ids_.begin() + i + 1, ids_.begin() + n_, ids_.begin() + i);
+  --n_;
+}
 
 SupportFunction SupportFunction::constant(bool v) {
   SupportFunction f;
@@ -12,7 +51,7 @@ SupportFunction SupportFunction::constant(bool v) {
 
 SupportFunction SupportFunction::variable(CellId id) {
   SupportFunction f;
-  f.vars = {id};
+  f.vars.push_back(id);
   f.mask = 0b10;  // row 0 -> 0, row 1 -> 1
   return f;
 }
@@ -24,23 +63,13 @@ bool SupportFunction::depends_on(CellId v) const {
 void SupportFunction::normalize() {
   for (int i = static_cast<int>(vars.size()) - 1; i >= 0; --i) {
     const int k = static_cast<int>(vars.size());
-    bool depends = false;
-    for (std::uint32_t row = 0; row < num_rows(k) && !depends; ++row) {
-      if (row & (1u << i)) continue;
-      const std::uint32_t partner = row | (1u << i);
-      depends = ((mask >> row) & 1ull) != ((mask >> partner) & 1ull);
-    }
-    if (depends) continue;
-    // Project variable i out: keep the rows where it is 0, repacked.
-    std::uint64_t next = 0;
-    std::uint32_t out_row = 0;
-    for (std::uint32_t row = 0; row < num_rows(k); ++row) {
-      if (row & (1u << i)) continue;
-      if ((mask >> row) & 1ull) next |= (1ull << out_row);
-      ++out_row;
-    }
-    mask = next;
-    vars.erase(vars.begin() + i);
+    const std::uint64_t flips = (mask >> (1u << i)) ^ mask;
+    if (flips & ~kVarMask[i] & full_mask(k)) continue;
+    // Project variable i out: walk it to the top past the others (their
+    // order is kept), then keep the half of the table where it is 0.
+    for (int a = i; a + 1 < k; ++a) mask = swap_vars(mask, a, a + 1);
+    mask &= full_mask(k - 1);
+    vars.erase(static_cast<std::size_t>(i));
   }
 }
 
@@ -68,57 +97,67 @@ SupportFunction transfer(const Netlist& nl, CellId id,
   if (c.kind == CellKind::kLut) return cut_here();
 
   // Merge the fan-in supports; overflow of the mask width cuts this cell.
-  std::vector<CellId> merged;
+  std::array<CellId, kMaxLutInputs> merged{};
+  int k = 0;
   for (const CellId f : c.fanins) {
     for (const CellId v : fn[f].vars) {
-      const auto it = std::lower_bound(merged.begin(), merged.end(), v);
-      if (it == merged.end() || *it != v) merged.insert(it, v);
-    }
-  }
-  if (static_cast<int>(merged.size()) > kMaxLutInputs) return cut_here();
-
-  const int n = c.fanin_count();
-  const int k = static_cast<int>(merged.size());
-
-  // Per fan-in: position of each of its variables inside the merged set.
-  std::vector<std::vector<int>> positions(c.fanins.size());
-  for (std::size_t i = 0; i < c.fanins.size(); ++i) {
-    for (const CellId v : fn[c.fanins[i]].vars) {
-      positions[i].push_back(static_cast<int>(
-          std::lower_bound(merged.begin(), merged.end(), v) -
-          merged.begin()));
+      int p = 0;
+      while (p < k && merged[p] < v) ++p;
+      if (p < k && merged[p] == v) continue;
+      if (k == kMaxLutInputs) return cut_here();
+      std::copy_backward(merged.begin() + p, merged.begin() + k,
+                         merged.begin() + k + 1);
+      merged[p] = v;
+      ++k;
     }
   }
 
+  // Every fan-in's table over the merged variables, folded through the
+  // three word operations the gate vocabulary is built from.
+  std::uint64_t all = ~0ull;
+  std::uint64_t any = 0;
+  std::uint64_t parity = 0;
+  for (const CellId f : c.fanins) {
+    std::array<int, kMaxLutInputs> pos{};
+    int p = 0;
+    for (std::size_t j = 0; j < fn[f].vars.size(); ++j) {
+      while (merged[p] != fn[f].vars[j]) ++p;
+      pos[j] = p;
+    }
+    const std::uint64_t t = expand(fn[f], pos.data());
+    all &= t;
+    any |= t;
+    parity ^= t;
+  }
+  std::uint64_t table = 0;
+  switch (c.kind) {
+    case CellKind::kBuf: table = any; break;
+    case CellKind::kNot: table = ~any; break;
+    case CellKind::kAnd: table = all; break;
+    case CellKind::kNand: table = ~all; break;
+    case CellKind::kOr: table = any; break;
+    case CellKind::kNor: table = ~any; break;
+    case CellKind::kXor: table = parity; break;
+    case CellKind::kXnor: table = ~parity; break;
+    default:
+      throw std::invalid_argument("support_functions: kind has no gate "
+                                  "semantics");
+  }
   SupportFunction out;
-  out.vars = std::move(merged);
-  for (std::uint32_t row = 0; row < num_rows(k); ++row) {
-    std::uint32_t packed = 0;
-    for (std::size_t i = 0; i < c.fanins.size(); ++i) {
-      std::uint32_t sub_row = 0;
-      for (std::size_t j = 0; j < positions[i].size(); ++j) {
-        if (row & (1u << positions[i][j])) sub_row |= (1u << j);
-      }
-      if ((fn[c.fanins[i]].mask >> sub_row) & 1ull) {
-        packed |= (1u << i);
-      }
-    }
-    // eval_gate is arity-generic (wide AND/OR trees included); LUTs were
-    // cut above.
-    if (eval_gate(c.kind, packed, n)) out.mask |= (1ull << row);
-  }
+  for (int p = 0; p < k; ++p) out.vars.push_back(merged[p]);
+  out.mask = table & full_mask(k);
   out.normalize();
   return out;
 }
 
 }  // namespace
 
-std::vector<SupportFunction> support_functions(const Netlist& nl,
-                                               SupportCuts& cuts) {
+std::vector<SupportFunction> support_functions(
+    const Netlist& nl, const std::vector<CellId>& order, SupportCuts& cuts) {
   cuts.cut.assign(nl.size(), 0);
   cuts.absorbed.assign(nl.size(), 0);
   std::vector<SupportFunction> fn(nl.size());
-  for (const CellId id : nl.topo_order()) {
+  for (const CellId id : order) {
     // The forward edge stops at a DFF D pin: a state bit is a source.
     const CellKind kind = nl.cell(id).kind;
     fn[id] = kind == CellKind::kInput || kind == CellKind::kDff
@@ -128,9 +167,9 @@ std::vector<SupportFunction> support_functions(const Netlist& nl,
   return fn;
 }
 
-std::vector<char> observable_cells(const Netlist& nl) {
+std::vector<char> observable_cells(const Netlist& nl,
+                                   const std::vector<CellId>& order) {
   std::vector<char> obs(nl.size(), 0);
-  const std::vector<CellId> order = nl.topo_order();
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const Cell& c = nl.cell(*it);
     char v = c.is_output ? 1 : 0;

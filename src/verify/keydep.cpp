@@ -46,10 +46,12 @@ class RankCone {
 
 // Fanout cone of `root` (cone includes the root; traversal stops at DFF D
 // pins — those are observation points, not cone members). `scratch` is an
-// all-zero rank bitset covering the netlist, left all-zero on return.
+// all-zero rank bitset covering the netlist, left all-zero on return;
+// `work` is an empty stack, left empty.
 RankCone fanout_cone(const Netlist& nl, CellId root,
                      const std::vector<std::uint32_t>& rank,
-                     std::vector<std::uint64_t>& scratch) {
+                     std::vector<std::uint64_t>& scratch,
+                     std::vector<CellId>& work) {
   const auto test_and_set = [&scratch](std::uint32_t r) {
     std::uint64_t& w = scratch[r >> 6];
     const std::uint64_t bit = 1ull << (r & 63);
@@ -59,7 +61,7 @@ RankCone fanout_cone(const Netlist& nl, CellId root,
   };
   std::uint32_t last = rank[root];
   test_and_set(rank[root]);
-  std::vector<CellId> work{root};
+  work.push_back(root);
   while (!work.empty()) {
     const CellId u = work.back();
     work.pop_back();
@@ -174,20 +176,12 @@ KeydepResult analyze_keydep(const Netlist& nl, const KeydepOptions& opt) {
   const PartialEvaluator evaluator(nl, knowledge);
   const std::vector<Tri> wave = evaluator.eval(
       std::vector<Tri>(nl.inputs().size() + nl.dffs().size(), Tri::kX));
+  // The one topological order every pass below sweeps.
+  const std::vector<CellId>& order = evaluator.order();
 
   // Backward structural observability: a 0 is a sound proof the cell's
   // value never reaches a primary output or flip-flop D pin.
-  const std::vector<char> reaches_obs = observable_cells(nl);
-
-  // Forward support functions: exact Boolean functions over a small cut
-  // vocabulary; a key variable absent from every observation function (and
-  // never absorbed into a cut) is functionally vacuous.
-  SupportCuts cuts;
-  std::vector<SupportFunction> support;
-  {
-    STTLOCK_SPAN("verify", "keydep_support");
-    support = support_functions(nl, cuts);
-  }
+  const std::vector<char> reaches_obs = observable_cells(nl, order);
 
   // The audit's ternary force probe over the same attacker-view wave.
   ForceProbe probe(evaluator);
@@ -195,7 +189,20 @@ KeydepResult analyze_keydep(const Netlist& nl, const KeydepOptions& opt) {
   const std::vector<CellId>& obs_points = probe.observation_points();
   const bool have_obs = !obs_points.empty();
 
-  const std::vector<CellId>& order = evaluator.order();
+  // Forward support functions: exact Boolean functions over a small cut
+  // vocabulary; a key variable absent from every observation function (and
+  // never absorbed into a cut) is functionally vacuous.
+  SupportCuts cuts;
+  std::vector<char> observed_var(nl.size(), 0);
+  {
+    STTLOCK_SPAN("verify", "keydep_support");
+    const std::vector<SupportFunction> support =
+        support_functions(nl, order, cuts);
+    for (const CellId p : obs_points) {
+      for (const CellId v : support[p].vars) observed_var[v] = 1;
+    }
+  }
+
   std::vector<std::uint32_t> rank(nl.size(), 0);
   for (std::size_t i = 0; i < order.size(); ++i) {
     rank[order[i]] = static_cast<std::uint32_t>(i);
@@ -207,6 +214,7 @@ KeydepResult analyze_keydep(const Netlist& nl, const KeydepOptions& opt) {
   {
     STTLOCK_SPAN("verify", "keydep_cells");
     std::vector<std::uint64_t> scratch((nl.size() + 63) / 64, 0);
+    std::vector<CellId> work;
     for (const CellId id : luts) {
       const Cell& c = nl.cell(id);
       const int k = c.fanin_count();
@@ -241,16 +249,7 @@ KeydepResult analyze_keydep(const Netlist& nl, const KeydepOptions& opt) {
           rep.masked = probe.masked();
         }
       }
-      if (have_obs && !cuts.absorbed[id]) {
-        bool seen = false;
-        for (const CellId p : obs_points) {
-          if (support[p].depends_on(id)) {
-            seen = true;
-            break;
-          }
-        }
-        rep.vacuous = !seen;
-      }
+      if (have_obs && !cuts.absorbed[id]) rep.vacuous = !observed_var[id];
 
       if (injected_constant_template(nl, id)) {
         rep.construct = KeyConstruct::kInjectedConstant;
@@ -265,7 +264,7 @@ KeydepResult analyze_keydep(const Netlist& nl, const KeydepOptions& opt) {
         rep.construct = KeyConstruct::kLockedConstant;
       }
 
-      cones.push_back(fanout_cone(nl, id, rank, scratch));
+      cones.push_back(fanout_cone(nl, id, rank, scratch, work));
       rep.cone_size = cones.back().popcount();
       result.cells.push_back(std::move(rep));
     }
@@ -274,8 +273,11 @@ KeydepResult analyze_keydep(const Netlist& nl, const KeydepOptions& opt) {
   // -- key-interference graph ----------------------------------------------
   // First hit over rank-ordered words: the first shared word decides
   // `intersects`, and its lowest set bit is the earliest shared cell in
-  // topo order — the convergence point.
+  // topo order — the convergence point. A degrees-only request stops at
+  // the intersection test.
+  const bool want_edges = opt.interference == InterferenceRequest::kEdges;
   std::uint64_t pairs_scanned = 0;
+  std::uint64_t interfering = 0;
   {
     STTLOCK_SPAN("verify", "keydep_pairs");
     for (std::size_t i = 0; i < luts.size(); ++i) {
@@ -291,6 +293,10 @@ KeydepResult analyze_keydep(const Netlist& nl, const KeydepOptions& opt) {
         std::uint32_t w = 0;
         while (w < hi - lo && (a[w] & b[w]) == 0) ++w;
         if (w == hi - lo) continue;
+        ++interfering;
+        ++result.cells[i].interference_degree;
+        ++result.cells[j].interference_degree;
+        if (!want_edges) continue;
         const std::uint32_t first_shared =
             ((lo + w) << 6) + static_cast<std::uint32_t>(
                                   __builtin_ctzll(a[w] & b[w]));
@@ -299,8 +305,6 @@ KeydepResult analyze_keydep(const Netlist& nl, const KeydepOptions& opt) {
         edge.b = luts[j];
         edge.series = ci.test(rank[luts[j]]) || cj.test(rank[luts[i]]);
         edge.converge = order[first_shared];
-        ++result.cells[i].interference_degree;
-        ++result.cells[j].interference_degree;
         result.edges.push_back(edge);
       }
     }
@@ -318,7 +322,7 @@ KeydepResult analyze_keydep(const Netlist& nl, const KeydepOptions& opt) {
   probes.add(probe.probes());
   probe_cells.add(probe.cells_evaluated());
   pairs.add(pairs_scanned);
-  edges.add(result.edges.size());
+  edges.add(interfering);
 
   // -- series key-gate chains ----------------------------------------------
   // A declared key gate whose output reaches another declared key gate

@@ -96,17 +96,28 @@ struct KeyInterferenceEdge {
   bool series = false;          ///< one cell lies inside the other's cone
 };
 
+/// What the key-interference scan hands back. Every verdict, finding and
+/// `interference_degree` is the same either way; only `edges` differs.
+enum class InterferenceRequest {
+  kEdges,    ///< the edge list with convergence points and series flags
+  kDegrees,  ///< degrees only; `edges` stays empty
+};
+
 struct KeydepOptions {
   /// Declared defense constructs. Empty is the pure attacker view: template
   /// collapse of declared constructs is off, but the structural
   /// injected-constant detection and the removability proofs still apply
   /// (they need no declarations).
   DefenseAnnotations defense;
+  /// Callers that read only verdicts and degrees (lint, the static attack)
+  /// ask for kDegrees and skip building the edge list.
+  InterferenceRequest interference = InterferenceRequest::kEdges;
 };
 
 struct KeydepResult {
   std::vector<KeyCellReport> cells;        ///< ascending CellId
-  std::vector<KeyInterferenceEdge> edges;  ///< sorted by (a, b)
+  /// Sorted by (a, b); empty under InterferenceRequest::kDegrees.
+  std::vector<KeyInterferenceEdge> edges;
   int key_cells = 0;
   int key_bits = 0;         ///< nominal: sum of 2^fanin
   int key_bits_static = 0;  ///< statically recovered (constant + removable)

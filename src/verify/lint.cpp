@@ -66,6 +66,8 @@ LintReport run_lint(const Netlist& nl, const LintOptions& opt) {
       if (opt.run_keydep && nl.stats().luts > 0) {
         KeydepOptions keydep_opt = opt.keydep;
         keydep_opt.defense.merge(opt.defense);
+        // Lint reads verdicts and degrees, never the edge list.
+        keydep_opt.interference = InterferenceRequest::kDegrees;
         report.keydep = analyze_keydep(nl, keydep_opt);
         report.keydep_ran = true;
         // analyze_keydep already sorts its findings.

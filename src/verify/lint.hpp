@@ -54,7 +54,9 @@ struct LintReport {
   bool audit_ran = false;
   StaticAuditResult audit;  ///< meaningful iff audit_ran
   bool keydep_ran = false;
-  KeydepResult keydep;  ///< meaningful iff keydep_ran
+  /// Meaningful iff keydep_ran. Lint asks for degrees only, so `edges` is
+  /// empty.
+  KeydepResult keydep;
 
   /// "clean" (no findings), "info", "warnings", or "errors" — the highest
   /// severity present.

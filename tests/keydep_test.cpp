@@ -10,6 +10,7 @@
 #include "attack/registry.hpp"
 #include "core/hybrid.hpp"
 #include "defense/registry.hpp"
+#include "obs/obs.hpp"
 #include "synth/generator.hpp"
 #include "tech/tech_library.hpp"
 #include "verify/keydep.hpp"
@@ -18,8 +19,10 @@
 namespace stt {
 namespace {
 
-defense::DefenseResult lock(const std::string& bench,
-                            const std::string& kind) {
+// Not `lock`: with <mutex> in scope, argument-dependent lookup on the
+// std::string arguments would also find std::lock.
+defense::DefenseResult lock_bench(const std::string& bench,
+                                  const std::string& kind) {
   const auto profile = find_profile(bench);
   EXPECT_TRUE(profile.has_value());
   const Netlist original = generate_circuit(*profile, 7);
@@ -29,9 +32,12 @@ defense::DefenseResult lock(const std::string& bench,
   return defense::registry().apply(kind, original, lib, opt, {});
 }
 
-KeydepResult analyze(const defense::DefenseResult& r) {
+KeydepResult analyze(
+    const defense::DefenseResult& r,
+    InterferenceRequest request = InterferenceRequest::kEdges) {
   KeydepOptions opt;
   opt.defense = r.annotations;
+  opt.interference = request;
   return analyze_keydep(r.locked, opt);
 }
 
@@ -58,7 +64,7 @@ int count_rule(const std::vector<LintFinding>& findings, LintRule rule) {
 TEST(Keydep, VerdictGridAcrossAllDefensesAndBenches) {
   for (const std::string& kind : defense::registry().names()) {
     for (const char* bench : {"s641", "s820", "s1238"}) {
-      const defense::DefenseResult r = lock(bench, kind);
+      const defense::DefenseResult r = lock_bench(bench, kind);
       const KeydepResult k = analyze(r);
       SCOPED_TRACE(std::string(bench) + "/" + kind);
 
@@ -91,7 +97,7 @@ TEST(Keydep, VerdictGridAcrossAllDefensesAndBenches) {
 }
 
 TEST(Keydep, XorLockedBenchIsDegradedWithInterferenceJustification) {
-  const defense::DefenseResult r = lock("s641", "xor");
+  const defense::DefenseResult r = lock_bench("s641", "xor");
   const KeydepResult k = analyze(r);
   // Declared XOR key gates hold 1 bit each (BUF or NOT), so the predicted
   // effective key space is below the nominal 2 bits/LUT1...
@@ -129,7 +135,7 @@ TEST(Keydep, JsonPinnedOnS820) {
   };
   for (const Pin& p : pins) {
     SCOPED_TRACE(p.kind);
-    const defense::DefenseResult r = lock("s820", p.kind);
+    const defense::DefenseResult r = lock_bench("s820", p.kind);
     const KeydepResult k = analyze(r);
     EXPECT_EQ(k.eff_key_bits, p.eff_key_bits);
     EXPECT_EQ(fnv1a(keydep_json(r.locked, k)), p.digest);
@@ -142,7 +148,7 @@ TEST(Keydep, InterferenceEdgesMatchBruteForceConeIntersection) {
   for (const std::string& kind : defense::registry().names()) {
     for (const char* bench : {"s641", "s820", "s1238"}) {
       SCOPED_TRACE(std::string(bench) + "/" + kind);
-      const defense::DefenseResult r = lock(bench, kind);
+      const defense::DefenseResult r = lock_bench(bench, kind);
       const Netlist& nl = r.locked;
       const KeydepResult k = analyze(r);
 
@@ -192,6 +198,102 @@ TEST(Keydep, InterferenceEdgesMatchBruteForceConeIntersection) {
         EXPECT_EQ(k.edges[e].converge, expected[e].converge);
         EXPECT_EQ(k.edges[e].series, expected[e].series);
       }
+
+      // Degrees-only: each cell's degree is its count of brute-force edges.
+      std::vector<int> degree(luts.size(), 0);
+      for (std::size_t i = 0; i < luts.size(); ++i) {
+        for (std::size_t j = i + 1; j < luts.size(); ++j) {
+          const bool meet = std::any_of(
+              cones[i].begin(), cones[i].end(),
+              [&](CellId c) { return cones[j].count(c) != 0; });
+          degree[i] += meet;
+          degree[j] += meet;
+        }
+      }
+      const KeydepResult d = analyze(r, InterferenceRequest::kDegrees);
+      ASSERT_EQ(d.cells.size(), luts.size());
+      for (std::size_t i = 0; i < luts.size(); ++i) {
+        EXPECT_EQ(d.cells[i].interference_degree, degree[i])
+            << nl.cell(luts[i]).name;
+      }
+    }
+  }
+}
+
+// Degrees-only is the edge-mode result minus the edge list: every cell
+// report, counter, finding and verdict is the same, and so are the
+// pair-scan counters the run reports.
+TEST(Keydep, DegreesOnlyMatchesEdgeMode) {
+  std::vector<std::pair<std::string, std::string>> grid;
+  for (const std::string& kind : defense::registry().names()) {
+    for (const char* bench : {"s641", "s820", "s1238"}) {
+      grid.emplace_back(bench, kind);
+    }
+  }
+  grid.emplace_back("b14", "xor");
+
+  obs::Metrics& metrics = obs::Metrics::global();
+  obs::Counter& edge_count = metrics.counter("verify.keydep.edges", false);
+  obs::Counter& pair_count =
+      metrics.counter("verify.keydep.pairs_scanned", false);
+  for (const auto& [bench, kind] : grid) {
+    SCOPED_TRACE(bench + "/" + kind);
+    const defense::DefenseResult r = lock_bench(bench, kind);
+
+    const std::uint64_t edges0 = edge_count.value();
+    const std::uint64_t pairs0 = pair_count.value();
+    const KeydepResult e = analyze(r, InterferenceRequest::kEdges);
+    const std::uint64_t edges1 = edge_count.value();
+    const std::uint64_t pairs1 = pair_count.value();
+    const KeydepResult d = analyze(r, InterferenceRequest::kDegrees);
+    EXPECT_EQ(edge_count.value() - edges1, edges1 - edges0);
+    EXPECT_EQ(pair_count.value() - pairs1, pairs1 - pairs0);
+    if (obs::kEnabled) {
+      EXPECT_EQ(edges1 - edges0, e.edges.size());
+    }
+
+    EXPECT_TRUE(d.edges.empty());
+    EXPECT_EQ(d.key_cells, e.key_cells);
+    EXPECT_EQ(d.key_bits, e.key_bits);
+    EXPECT_EQ(d.key_bits_static, e.key_bits_static);
+    EXPECT_EQ(d.eff_key_bits, e.eff_key_bits);
+    EXPECT_EQ(d.constant_cells, e.constant_cells);
+    EXPECT_EQ(d.removable_cells, e.removable_cells);
+    EXPECT_EQ(d.mutable_cells, e.mutable_cells);
+    EXPECT_EQ(d.pairwise_cells, e.pairwise_cells);
+    EXPECT_EQ(d.hard_cells, e.hard_cells);
+    EXPECT_EQ(d.verdict(), e.verdict());
+
+    ASSERT_EQ(d.cells.size(), e.cells.size());
+    for (std::size_t i = 0; i < e.cells.size(); ++i) {
+      const KeyCellReport& x = d.cells[i];
+      const KeyCellReport& y = e.cells[i];
+      SCOPED_TRACE(y.name);
+      EXPECT_EQ(x.cell, y.cell);
+      EXPECT_EQ(x.name, y.name);
+      EXPECT_EQ(x.fanin, y.fanin);
+      EXPECT_EQ(x.nominal_bits, y.nominal_bits);
+      EXPECT_EQ(x.reachable_rows, y.reachable_rows);
+      EXPECT_EQ(x.reachable_count, y.reachable_count);
+      EXPECT_EQ(x.masked, y.masked);
+      EXPECT_EQ(x.vacuous, y.vacuous);
+      EXPECT_EQ(x.unit_propagated, y.unit_propagated);
+      EXPECT_EQ(x.propagated_mask, y.propagated_mask);
+      EXPECT_EQ(x.construct, y.construct);
+      EXPECT_EQ(x.verdict, y.verdict);
+      EXPECT_EQ(x.interference_degree, y.interference_degree);
+      EXPECT_EQ(x.cone_size, y.cone_size);
+      EXPECT_EQ(x.chain, y.chain);
+      EXPECT_EQ(x.effective_bits, y.effective_bits);
+    }
+
+    ASSERT_EQ(d.findings.size(), e.findings.size());
+    for (std::size_t i = 0; i < e.findings.size(); ++i) {
+      EXPECT_EQ(d.findings[i].rule, e.findings[i].rule);
+      EXPECT_EQ(d.findings[i].severity, e.findings[i].severity);
+      EXPECT_EQ(d.findings[i].cell, e.findings[i].cell);
+      EXPECT_EQ(d.findings[i].cell_name, e.findings[i].cell_name);
+      EXPECT_EQ(d.findings[i].message, e.findings[i].message);
     }
   }
 }
@@ -200,7 +302,7 @@ TEST(Keydep, InterferenceEdgesMatchBruteForceConeIntersection) {
 
 TEST(StaticAttack, RecoversEveryConstDefenseKeyBitWithZeroQueries) {
   for (const char* bench : {"s641", "s820", "s1238"}) {
-    const defense::DefenseResult r = lock(bench, "const");
+    const defense::DefenseResult r = lock_bench(bench, "const");
     const attack::UnifiedResult u = attack::registry().run(
         "static", foundry_view(r.locked), r.locked);
     SCOPED_TRACE(bench);
@@ -211,7 +313,7 @@ TEST(StaticAttack, RecoversEveryConstDefenseKeyBitWithZeroQueries) {
 }
 
 TEST(StaticAttack, AbandonsWhenKeyCellsResistStaticAnalysis) {
-  const defense::DefenseResult r = lock("s641", "parametric");
+  const defense::DefenseResult r = lock_bench("s641", "parametric");
   const attack::UnifiedResult u =
       attack::registry().run("static", foundry_view(r.locked), r.locked);
   EXPECT_EQ(u.outcome, attack::Outcome::kAbandoned);
@@ -220,7 +322,7 @@ TEST(StaticAttack, AbandonsWhenKeyCellsResistStaticAnalysis) {
 }
 
 TEST(StaticAttack, RejectsUnknownTuning) {
-  const defense::DefenseResult r = lock("s641", "const");
+  const defense::DefenseResult r = lock_bench("s641", "const");
   EXPECT_THROW(attack::registry().run("static", foundry_view(r.locked),
                                       r.locked, {}, {{"frames", "3"}}),
                std::invalid_argument);
@@ -264,7 +366,7 @@ TEST(Keydep, SeriesKeyGateChainCollapsesToOneCompositeBit) {
 // -- deterministic finding order --------------------------------------------
 
 TEST(Keydep, FindingsAreSortedAndLintJsonIsByteStable) {
-  const defense::DefenseResult r = lock("s820", "xor");
+  const defense::DefenseResult r = lock_bench("s820", "xor");
   const KeydepResult k = analyze(r);
   const auto key_of = [](const LintFinding& f) {
     return std::make_tuple(f.rule, f.cell_name, f.message);
@@ -280,7 +382,7 @@ TEST(Keydep, FindingsAreSortedAndLintJsonIsByteStable) {
   LintOptions opt;
   opt.defense = r.annotations;
   const std::string json1 = lint_json(run_lint(r.locked, opt));
-  const defense::DefenseResult r2 = lock("s820", "xor");
+  const defense::DefenseResult r2 = lock_bench("s820", "xor");
   LintOptions opt2;
   opt2.defense = r2.annotations;
   const std::string json2 = lint_json(run_lint(r2.locked, opt2));
@@ -288,7 +390,7 @@ TEST(Keydep, FindingsAreSortedAndLintJsonIsByteStable) {
 }
 
 TEST(Keydep, LintSurfacesKeydepBlock) {
-  const defense::DefenseResult r = lock("s641", "const");
+  const defense::DefenseResult r = lock_bench("s641", "const");
   LintOptions opt;
   opt.defense = r.annotations;
   const LintReport report = run_lint(r.locked, opt);
